@@ -38,17 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stabilizer import Partition
-from .states import (
-    GaussianState,
-    NoisePattern,
-    SymplecticMap,
-    add_classical_noise,
-    apply_symplectic,
-    beamsplitter,
-    epr_pair,
-    tensor,
-)
+from .stabilizer import Partition, parity_sign
+from .states import GaussianState, NoisePattern, SymplecticMap, beamsplitter, epr_pair
 
 GROUP_12_34 = Partition(((0, 1), (2, 3)))
 GROUP_14_23 = Partition(((0, 3), (1, 2)))
@@ -136,11 +127,6 @@ class ConstructionVariant:
     note: str = ""
 
 
-def _mode_parity_sign(m: int) -> float:
-    # sign of p_m in the alternating momentum nullifier
-    return 1.0 if m % 2 == 0 else -1.0
-
-
 def chain_noise_patterns(pairs, sigma_x: float, sigma_p: float, n_modes: int) -> list[NoisePattern]:
     """Nearest-neighbour pair-chain displacement patterns.
 
@@ -156,10 +142,10 @@ def chain_noise_patterns(pairs, sigma_x: float, sigma_p: float, n_modes: int) ->
         ppat = np.zeros(2 * n_modes)
         for m in pairs[k]:
             xpat[2 * m] = 1.0
-            ppat[2 * m + 1] = -_mode_parity_sign(m)
+            ppat[2 * m + 1] = -parity_sign(m)
         for m in pairs[k + 1]:
             xpat[2 * m] = -1.0
-            ppat[2 * m + 1] = +_mode_parity_sign(m)
+            ppat[2 * m + 1] = +parity_sign(m)
         patterns.append(NoisePattern(xpat, sigma_x))
         patterns.append(NoisePattern(ppat, sigma_p))
     return patterns
@@ -177,15 +163,19 @@ def mode_permutation(targets, n_modes: int) -> SymplecticMap:
     return SymplecticMap(S)
 
 
-def _epr_pairs_on(r: float, pairs, n_modes: int) -> GaussianState:
-    state = epr_pair(r)
-    for _ in range(len(pairs) - 1):
-        state = tensor(state, epr_pair(r))
-    targets = [0] * n_modes
-    for k, (a, b) in enumerate(pairs):
-        targets[2 * k] = a
-        targets[2 * k + 1] = b
-    return apply_symplectic(state, mode_permutation(targets, n_modes))
+def _epr_pairs_cov(r: float, pairs, n_modes: int) -> np.ndarray:
+    cov = np.zeros((2 * n_modes, 2 * n_modes))
+    block = epr_pair(r).cov
+    for a, b in pairs:
+        idx = [2 * a, 2 * a + 1, 2 * b, 2 * b + 1]
+        cov[np.ix_(idx, idx)] = block
+    return cov
+
+
+def _add_noise(cov: np.ndarray, patterns) -> np.ndarray:
+    for noise in patterns:
+        cov = cov + noise.sigma**2 * np.outer(noise.pattern, noise.pattern)
+    return cov
 
 
 def smolin_cv_four(spec: BoundStateSpec) -> GaussianState:
@@ -193,25 +183,20 @@ def smolin_cv_four(spec: BoundStateSpec) -> GaussianState:
 
     Two squeezed pairs on modes (0,1) and (2,3), then zero-mean Gaussian
     displacements along the x-pattern (+1, +1, -1, -1) with strength sigma_x
-    and the p-pattern (-1, +1, +1, -1) with strength sigma_p.
+    and the p-pattern (-1, +1, +1, -1) with strength sigma_p: the
+    ``n_pairs = 2`` case of :func:`smolin_cv_2n`.
     """
     if spec.n_pairs != 2:
         raise ValueError("the four-mode constructor needs n_pairs = 2")
-    state = tensor(epr_pair(spec.r), epr_pair(spec.r))
-    xpat = np.array([1, 0, 1, 0, -1, 0, -1, 0], dtype=float)
-    ppat = np.array([0, -1, 0, 1, 0, 1, 0, -1], dtype=float)
-    state = add_classical_noise(state, NoisePattern(xpat, spec.sigma_x))
-    state = add_classical_noise(state, NoisePattern(ppat, spec.sigma_p))
-    return state
+    return smolin_cv_2n(spec)
 
 
 def smolin_cv_2n(spec: BoundStateSpec) -> GaussianState:
     """2n-mode generalization with pair-chain noise (see module docstring)."""
     pairs = [(2 * k, 2 * k + 1) for k in range(spec.n_pairs)]
-    state = _epr_pairs_on(spec.r, pairs, spec.n_modes)
-    for noise in chain_noise_patterns(pairs, spec.sigma_x, spec.sigma_p, spec.n_modes):
-        state = add_classical_noise(state, noise)
-    return state
+    cov = _epr_pairs_cov(spec.r, pairs, spec.n_modes)
+    cov = _add_noise(cov, chain_noise_patterns(pairs, spec.sigma_x, spec.sigma_p, spec.n_modes))
+    return GaussianState(np.zeros(2 * spec.n_modes), cov)
 
 
 def _matched_regrouping(spec: BoundStateSpec) -> tuple[ConstructionVariant, GaussianState | None]:
@@ -230,14 +215,10 @@ def _matched_regrouping(spec: BoundStateSpec) -> tuple[ConstructionVariant, Gaus
         return ConstructionVariant(GROUP_14_23, feasible=False, note=note), None
     grouping_pairs = GROUP_14_23.subsets
     original_pairs = GROUP_12_34.subsets
-    state = _epr_pairs_on(spec.r, grouping_pairs, 4)
     base = np.sqrt(base_sq)
-    for noise in chain_noise_patterns(grouping_pairs, base, base, 4):
-        state = add_classical_noise(state, noise)
-    for noise in chain_noise_patterns(
-        original_pairs, np.sqrt(res_x_sq), np.sqrt(res_p_sq), 4
-    ):
-        state = add_classical_noise(state, noise)
+    cov = _epr_pairs_cov(spec.r, grouping_pairs, 4)
+    cov = _add_noise(cov, chain_noise_patterns(grouping_pairs, base, base, 4))
+    cov = _add_noise(cov, chain_noise_patterns(original_pairs, np.sqrt(res_x_sq), np.sqrt(res_p_sq), 4))
     variant = ConstructionVariant(
         GROUP_14_23,
         feasible=True,
@@ -248,23 +229,22 @@ def _matched_regrouping(spec: BoundStateSpec) -> tuple[ConstructionVariant, Gaus
         residual_sigma_p=float(np.sqrt(res_p_sq)),
         note="squeezed pairs on (0,3) and (1,2) plus classically correlated displacements",
     )
-    return variant, state
+    return variant, GaussianState(np.zeros(8), cov)
 
 
 def _factorized_regrouping(spec: BoundStateSpec) -> tuple[ConstructionVariant, GaussianState]:
     # party-local balanced beamsplitters inside {0,2} and {1,3} turn the state
     # into a product of a noise-free squeezed pair (slots 0,1) and a pair
     # carrying doubled-variance displacement noise (slots 2,3)
-    noisy = epr_pair(spec.r)
-    noisy = add_classical_noise(
-        noisy, NoisePattern(np.array([1, 0, 1, 0], dtype=float), np.sqrt(2) * spec.sigma_x)
+    slots = _epr_pairs_cov(spec.r, [(0, 1), (2, 3)], 4)
+    slots[4:, 4:] = _add_noise(
+        slots[4:, 4:],
+        [
+            NoisePattern(np.array([1, 0, 1, 0], dtype=float), np.sqrt(2) * spec.sigma_x),
+            NoisePattern(np.array([0, 1, 0, -1], dtype=float), np.sqrt(2) * spec.sigma_p),
+        ],
     )
-    noisy = add_classical_noise(
-        noisy, NoisePattern(np.array([0, 1, 0, -1], dtype=float), np.sqrt(2) * spec.sigma_p)
-    )
-    slots = tensor(epr_pair(spec.r), noisy)
-    unmix = beamsplitter(0, 2, -np.pi / 4, 4) @ beamsplitter(1, 3, -np.pi / 4, 4)
-    state = apply_symplectic(slots, unmix)
+    unmix = (beamsplitter(0, 2, -np.pi / 4, 4) @ beamsplitter(1, 3, -np.pi / 4, 4)).matrix
     variant = ConstructionVariant(
         GROUP_13_24,
         feasible=True,
@@ -278,7 +258,7 @@ def _factorized_regrouping(spec: BoundStateSpec) -> tuple[ConstructionVariant, G
             "which keeps the state entangled across this grouping for every sigma"
         ),
     )
-    return variant, state
+    return variant, GaussianState(np.zeros(8), unmix @ slots @ unmix.T)
 
 
 def equivalent_construction(

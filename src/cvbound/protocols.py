@@ -30,6 +30,7 @@ import numpy as np
 
 from .factory import BoundStateSpec, smolin_cv_four
 from .separability import duan_value
+from .stabilizer import parity_sign
 from .states import GaussianState, quad_variance, symplectic_form, tensor
 
 PINV_CUTOFF = 1e-12
@@ -176,11 +177,6 @@ def measure_with_feedforward(
     return GaussianState(M @ state.mean, M @ state.cov @ M.T)
 
 
-def _parity_sign(m: int) -> float:
-    # sign of p_m in the alternating momentum nullifier
-    return 1.0 if m % 2 == 0 else -1.0
-
-
 def bell_measure(
     state: GaussianState,
     i: int,
@@ -212,8 +208,8 @@ def bell_measure(
     if target is None:
         target = survivors[0]
     if p_gain is None:
-        mixed = _parity_sign(i) != _parity_sign(j)
-        p_gain = _parity_sign(target) * _parity_sign(i) if mixed else 1.0
+        mixed = parity_sign(i) != parity_sign(j)
+        p_gain = parity_sign(target) * parity_sign(i) if mixed else 1.0
     y1 = np.zeros(2 * n)
     y1[2 * i] = y1[2 * j] = 1.0
     y2 = np.zeros(2 * n)

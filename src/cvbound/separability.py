@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .factory import BoundStateSpec, smolin_cv_four
 from .states import GaussianState, partial_transpose, quad_variance, symplectic_eigenvalues
@@ -116,8 +115,9 @@ def log_negativity(state: GaussianState, bp: Bipartition) -> float:
     if bp.n_modes != state.n_modes:
         raise ValueError("bipartition does not match the state's mode count")
     nus = symplectic_eigenvalues(partial_transpose(state, bp.side_b))
-    # eigenvalues numerically at the 1/2 boundary contribute exactly zero
-    below = nus[nus < 0.5 - 1e-12]
+    # the same cutoff as ppt_verdict, so the value is positive exactly when
+    # the verdict is "entangled"
+    below = nus[nus < 0.5 - VERDICT_TOL]
     if below.size == 0:
         return 0.0
     return float(-np.log2(2.0 * below).sum())
@@ -164,7 +164,8 @@ def ppt_threshold_search(
     """Noise strength at which the partial transpose across ``bp`` turns positive.
 
     Bisects nu_min(sigma) - 1/2 for the four-mode state with sigma_x =
-    sigma_p = sigma on [0, sigma_max].  Returns None when there is no strict
+    sigma_p = sigma on [0, sigma_max] until the bracket is at most ``tol``
+    wide, and returns its midpoint.  Returns None when there is no strict
     sign change (the cut is NPT throughout, or never NPT to begin with).
     """
     if tol <= 0:
@@ -177,10 +178,18 @@ def ppt_threshold_search(
         return ppt_min_symplectic(smolin_cv_four(spec), bp) - 0.5
 
     guard = 1e-9  # treat eigenvalues numerically at 1/2 as non-crossing
-    lo, hi = gap(0.0), gap(sigma_max)
-    if not (lo < -guard and hi > guard) and not (lo > guard and hi < -guard):
+    lo, hi = 0.0, sigma_max
+    gap_lo, gap_hi = gap(lo), gap(hi)
+    if not (gap_lo < -guard and gap_hi > guard) and not (gap_lo > guard and gap_hi < -guard):
         return None
-    return float(scipy.optimize.brentq(gap, 0.0, sigma_max, xtol=tol))
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        gap_mid = gap(mid)
+        if (gap_mid < 0) == (gap_lo < 0):
+            lo, gap_lo = mid, gap_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def ppt_verdict(state: GaussianState, bp: Bipartition, tol: float = VERDICT_TOL) -> SeparabilityVerdict:

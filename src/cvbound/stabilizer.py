@@ -31,6 +31,7 @@ __all__ = [
     "nullifier_variance",
     "is_complete_on",
     "x_sum_nullifier",
+    "parity_sign",
     "p_alternating_nullifier",
     "x_sum_generator",
     "p_alternating_generator",
@@ -205,10 +206,15 @@ def x_sum_nullifier(n_modes: int) -> Nullifier:
     return Nullifier(coeffs)
 
 
+def parity_sign(m: int) -> float:
+    """Sign of p_m (0-based mode m) in the alternating momentum nullifier."""
+    return 1.0 if m % 2 == 0 else -1.0
+
+
 def p_alternating_nullifier(n_modes: int) -> Nullifier:
     """p_1 - p_2 + p_3 - ..., the alternating momentum generator."""
     coeffs = np.zeros(2 * n_modes)
-    coeffs[1::2] = [(-1.0) ** m for m in range(n_modes)]
+    coeffs[1::2] = [parity_sign(m) for m in range(n_modes)]
     return Nullifier(coeffs)
 
 
@@ -219,4 +225,4 @@ def x_sum_generator(n_modes: int) -> PauliElement:
 
 def p_alternating_generator(n_modes: int) -> PauliElement:
     """Displacement element with alternating X-parameters s = (1, -1, 1, ...)."""
-    return PauliElement(s=np.array([(-1.0) ** m for m in range(n_modes)]), t=np.zeros(n_modes))
+    return PauliElement(s=np.array([parity_sign(m) for m in range(n_modes)]), t=np.zeros(n_modes))

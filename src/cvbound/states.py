@@ -21,12 +21,10 @@ from dataclasses import dataclass
 from collections.abc import Iterable
 
 import numpy as np
-import scipy.linalg
 
 VACUUM_VAR = 0.5
 SYMMETRY_TOL = 1e-10
 PHYSICALITY_TOL = 1e-9
-PAIR_COLLAPSE_TOL = 1e-8
 SYMPLECTIC_TOL = 1e-10
 MAX_SQUEEZING = 20.0
 
@@ -48,14 +46,14 @@ __all__ = [
     "quad_variance",
     "sample_oracle",
     "state_to_dict",
+    "moments_from_dict",
     "state_from_dict",
 ]
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Symplectic form Omega for the interleaved ordering, 2x2 blocks [[0,1],[-1,0]]."""
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return scipy.linalg.block_diag(*([block] * n_modes))
+    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -67,15 +65,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Williamson spectrum of a covariance matrix, sorted ascending.
 
-    The eigenvalues of the real matrix ``Omega @ cov`` come in pairs
-    ``+/- i nu_k``; each ``nu_k`` is returned once.  Pair collapse uses an
-    absolute tolerance of 1e-8, scaled up by the spectral magnitude so that
-    strongly squeezed states (entries up to ~1e17 at r = 20) do not trip the
-    check on double-precision rounding alone.
+    With ``cov = L L^T``, the Hermitian matrix ``i L^T Omega L`` has the
+    eigenvalues ``+/- nu_k``; the upper half of its spectrum is returned.
+    ``L`` is the Cholesky factor.  When Cholesky fails on a matrix that
+    passes the positive-definiteness check (float64 cannot resolve the
+    smallest eigenvalue of a strongly squeezed state), the eigen-decomposition
+    root ``V sqrt(max(w, 0))`` takes its place.
 
     Raises ``ValueError`` for non-symmetric, odd-dimensional or
-    non-positive-definite input and ``RuntimeError`` when the spectrum does
-    not pair up within tolerance.
+    non-positive-definite input.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
@@ -83,17 +81,19 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     scale = max(1.0, np.abs(cov).max())
     if np.abs(cov - cov.T).max() > SYMMETRY_TOL * scale:
         raise ValueError("covariance matrix must be symmetric")
-    # scale-relative rejection: a strongly squeezed pure state is positive
-    # definite in exact arithmetic but numerically singular in float64
-    if np.linalg.eigvalsh(cov).min() <= -1e-12 * scale:
-        raise ValueError("covariance matrix must be positive definite")
+    try:
+        # succeeds only on numerically positive-definite input, which the
+        # scale-relative check below would accept
+        root = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(cov)
+        # scale-relative rejection: a strongly squeezed pure state is positive
+        # definite in exact arithmetic but numerically singular in float64
+        if w.min() <= -1e-12 * scale:
+            raise ValueError("covariance matrix must be positive definite") from None
+        root = v * np.sqrt(np.clip(w, 0.0, None))
     n = cov.shape[0] // 2
-    mags = np.sort(np.abs(np.linalg.eigvals(symplectic_form(n) @ cov)))
-    tol = PAIR_COLLAPSE_TOL * max(1.0, mags[-1])
-    lo, hi = mags[0::2], mags[1::2]
-    if np.abs(hi - lo).max() > tol:
-        raise RuntimeError("symplectic spectrum did not collapse into +/- pairs")
-    return 0.5 * (lo + hi)
+    return np.linalg.eigvalsh(1j * root.T @ symplectic_form(n) @ root)[n:]
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,8 @@ class GaussianState:
         d = mean.shape[0]
         if d == 0 or d % 2 or cov.shape != (d, d):
             raise ValueError(f"inconsistent moment dimensions: mean {mean.shape}, cov {cov.shape}")
-        scale = max(1.0, np.abs(cov).max())
-        if np.abs(cov - cov.T).max() > SYMMETRY_TOL * scale:
-            raise ValueError("covariance matrix must be symmetric within 1e-10")
         nu_min = symplectic_eigenvalues(cov).min()
+        scale = max(1.0, np.abs(cov).max())
         if nu_min < VACUUM_VAR - PHYSICALITY_TOL * scale:
             raise ValueError(
                 f"unphysical covariance matrix: min symplectic eigenvalue {nu_min:.6g} < 1/2"
@@ -209,10 +207,11 @@ def epr_pair(r: float) -> GaussianState:
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     """Product state with the modes of ``a`` followed by the modes of ``b``."""
-    return GaussianState(
-        np.concatenate([a.mean, b.mean]),
-        scipy.linalg.block_diag(a.cov, b.cov),
-    )
+    da, db = a.cov.shape[0], b.cov.shape[0]
+    cov = np.zeros((da + db, da + db))
+    cov[:da, :da] = a.cov
+    cov[da:, da:] = b.cov
+    return GaussianState(np.concatenate([a.mean, b.mean]), cov)
 
 
 def beamsplitter(i: int, j: int, theta: float, n: int) -> SymplecticMap:
@@ -365,8 +364,8 @@ def state_to_dict(state: GaussianState) -> dict:
     }
 
 
-def state_from_dict(data: dict) -> GaussianState:
-    """Inverse of :func:`state_to_dict`; validates shape consistency."""
+def moments_from_dict(data: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, cov) arrays of a :func:`state_to_dict` object, shape-checked only."""
     try:
         n = int(data["n_modes"])
         mean = np.asarray(data["mean"], dtype=float)
@@ -375,4 +374,9 @@ def state_from_dict(data: dict) -> GaussianState:
         raise ValueError(f"malformed state object: {exc}") from exc
     if mean.shape != (2 * n,) or cov.shape != (2 * n, 2 * n):
         raise ValueError("state object dimensions are inconsistent with n_modes")
-    return GaussianState(mean, cov)
+    return mean, cov
+
+
+def state_from_dict(data: dict) -> GaussianState:
+    """Inverse of :func:`state_to_dict`; validates shapes and physicality."""
+    return GaussianState(*moments_from_dict(data))

@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cvbound
 from cvbound.cli import main
 from cvbound.states import state_from_dict
 
@@ -246,3 +250,12 @@ def test_validate_good_state_file(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", "--state", str(path))
     assert code == 0
     assert "[FAIL]" not in out
+
+
+def test_cli_import_loads_neither_scipy_nor_multiprocessing():
+    src = os.path.dirname(os.path.dirname(cvbound.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, cvbound.cli; print(sorted({'scipy', 'multiprocessing'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

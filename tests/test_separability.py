@@ -68,6 +68,12 @@ def test_log_negativity():
     assert log_negativity(pair, EPR_SPLIT) == pytest.approx(2.0 * np.log2(np.e), abs=1e-10)
     ppt_state = tensor(vacuum_state(1), vacuum_state(1))
     assert log_negativity(ppt_state, EPR_SPLIT) == 0.0
+    # the 12-34 cut is PPT for every r and sigma; float64 error near r = 3
+    # must not leak through as a tiny positive log-negativity
+    bp = named_bipartition("12-34")
+    for r in np.arange(1, 31) / 10:
+        for sigma in np.arange(21) * 0.25:
+            assert log_negativity(four_mode(r, sigma), bp) == 0.0, (r, sigma)
 
 
 def test_log_negativity_nonincreasing_in_sigma():
@@ -142,6 +148,15 @@ def test_threshold_search_none_for_other_cuts():
     assert ppt_threshold_search(1.0, named_bipartition("12-34")) is None
     with pytest.raises(ValueError):
         ppt_threshold_search(1.0, named_bipartition("14-23"), tol=0.0)
+
+
+def test_threshold_search_input_that_broke_the_spectrum():
+    # a general (non-Hermitian) eigen-solver fails to converge on the
+    # sigma_max = 10 end point of this search; the Hermitian form must not
+    r = 2.1139761605560823
+    bp = named_bipartition("14-23")
+    assert ppt_threshold_search(r, bp) == pytest.approx(np.sqrt(np.sinh(2 * r) / 4), abs=1e-6)
+    assert ppt_min_symplectic(four_mode(r, 10.0), bp) >= 0.5 - 1e-9
 
 
 def test_ppt_transition_consistency():
