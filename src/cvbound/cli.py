@@ -153,14 +153,13 @@ def _combined_verdict(ppt_v, cons_v) -> str:
     return "PPT (separability not certified)"
 
 
-def _min_cross_duan(state: states.GaussianState, bp: separability.Bipartition) -> float:
-    values = [
-        separability.duan_value(state, a, b, sign)
-        for a in bp.side_a
-        for b in bp.side_b
-        for sign in (+1, -1)
-    ]
-    return min(values)
+# the sweep's verdict column names the same rule with shorter words
+SWEEP_VERDICTS = {
+    "entangled": "entangled",
+    "separable (by construction)": "separable",
+    "separable": "separable",
+    "PPT (separability not certified)": "inconclusive",
+}
 
 
 def cmd_sep_check(args) -> int:
@@ -184,23 +183,23 @@ def cmd_sep_check(args) -> int:
 
     rows = []
     for label, bp in separability.FOUR_MODE_BIPARTITIONS.items():
-        ppt_v = separability.ppt_verdict(state, bp)
+        (ppt_v,), log_neg, duan = separability.cut_diagnostics(state.cov[None], bp)
         cons_v = separability.construction_verdict(spec, label) if spec else None
         rows.append(
             {
                 "bipartition": label,
                 "nu_min": ppt_v.witness_value,
-                "log_neg": separability.log_negativity(state, bp),
-                "duan": _min_cross_duan(state, bp),
+                "log_neg": float(log_neg[0]),
+                "duan": float(duan[0]),
                 "verdict": _combined_verdict(ppt_v, cons_v),
             }
         )
     footer = None
     if spec is not None:
-        # the measured PPT transition for the noise-dependent cut, printed
-        # beside the analytic two-mode witness floor; the two are not equal
-        # and no equality is claimed
-        sigma_star = separability.ppt_threshold_search(spec.r, separability.named_bipartition("14-23"))
+        # the PPT transition of the noise-dependent cut, printed beside the
+        # analytic two-mode witness floor; the two are not equal and no
+        # equality is claimed
+        sigma_star = separability.ppt_threshold_sigma(spec.r)
         floor = float(np.sqrt(separability.duan_threshold_sigma_sq(spec.r)))
         footer = {
             "ppt_transition_sigma_14_23": sigma_star,
@@ -229,30 +228,6 @@ def cmd_sep_check(args) -> int:
     return 0
 
 
-def _sweep_row(r: float, sigma: float, label: str) -> dict:
-    spec = factory.BoundStateSpec(n_pairs=2, r=r, sigma_x=sigma, sigma_p=sigma)
-    state = factory.smolin_cv_four(spec)
-    bp = separability.named_bipartition(label)
-    ppt_v = separability.ppt_verdict(state, bp)
-    cons_v = separability.construction_verdict(spec, label)
-    if ppt_v.verdict == "entangled":
-        verdict = "entangled"
-    elif cons_v.verdict == "separable":
-        verdict = "separable"
-    else:
-        verdict = "inconclusive"
-    return {
-        "r": r,
-        "sigma": sigma,
-        "bipartition": label,
-        "nu_min": ppt_v.witness_value,
-        "log_neg": separability.log_negativity(state, bp),
-        "duan": _min_cross_duan(state, bp),
-        "verdict": verdict,
-        "duan_threshold_sigma_sq": separability.duan_threshold_sigma_sq(r),
-    }
-
-
 SWEEP_COLUMNS = ["r", "sigma", "bipartition", "nu_min", "log_neg", "duan", "verdict", "duan_threshold_sigma_sq"]
 
 
@@ -262,7 +237,28 @@ def cmd_sweep(args) -> int:
     if not r_values or not sigma_values:
         print("error: empty sweep grid", file=sys.stderr)
         return 1
-    rows = [_sweep_row(r, sigma, args.bipartition) for r in r_values for sigma in sigma_values]
+    label = args.bipartition
+    # one spec per grid point, in grid order, so an out-of-range value fails
+    # with the spec's own message at the first point that holds it
+    specs = [factory.BoundStateSpec(2, r, sigma, sigma) for r in r_values for sigma in sigma_values]
+    sigmas = [spec.sigma_x for spec in specs]
+    covs = factory.smolin_cv_covariances(2, [spec.r for spec in specs], sigmas, sigmas)
+    states.require_physical(covs)
+    ppt_vs, log_negs, duans = separability.cut_diagnostics(covs, separability.named_bipartition(label))
+    floors = {r: separability.duan_threshold_sigma_sq(r) for r in r_values}
+    rows = [
+        {
+            "r": spec.r,
+            "sigma": spec.sigma_x,
+            "bipartition": label,
+            "nu_min": ppt_v.witness_value,
+            "log_neg": log_neg,
+            "duan": duan,
+            "verdict": SWEEP_VERDICTS[_combined_verdict(ppt_v, separability.construction_verdict(spec, label))],
+            "duan_threshold_sigma_sq": floors[spec.r],
+        }
+        for spec, ppt_v, log_neg, duan in zip(specs, ppt_vs, log_negs.tolist(), duans.tolist())
+    ]
     if args.format == "json":
         _emit(_json_dump(rows), args.out)
         return 0

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .stabilizer import Partition, parity_sign
-from .states import GaussianState, NoisePattern, SymplecticMap, beamsplitter, epr_pair
+from .states import GaussianState, NoisePattern, SymplecticMap, beamsplitter
 
 GROUP_12_34 = Partition(((0, 1), (2, 3)))
 GROUP_14_23 = Partition(((0, 3), (1, 2)))
@@ -53,6 +53,7 @@ __all__ = [
     "GROUP_13_24",
     "smolin_cv_four",
     "smolin_cv_2n",
+    "smolin_cv_covariances",
     "equivalent_construction",
     "chain_noise_patterns",
     "mode_permutation",
@@ -127,15 +128,8 @@ class ConstructionVariant:
     note: str = ""
 
 
-def chain_noise_patterns(pairs, sigma_x: float, sigma_p: float, n_modes: int) -> list[NoisePattern]:
-    """Nearest-neighbour pair-chain displacement patterns.
-
-    Pattern k puts x-signs +1 on the modes of pairs[k] and -1 on pairs[k+1];
-    its p-companion puts -eps_m on pairs[k] and +eps_m on pairs[k+1], where
-    eps_m is the alternating-nullifier sign of mode m.  Every pattern is
-    orthogonal to both global nullifiers, so the nullifier variances never
-    depend on the noise strengths.
-    """
+def _chain_patterns(pairs, n_modes: int) -> list[np.ndarray]:
+    """Pattern vectors of :func:`chain_noise_patterns`, in its order."""
     patterns = []
     for k in range(len(pairs) - 1):
         xpat = np.zeros(2 * n_modes)
@@ -146,9 +140,22 @@ def chain_noise_patterns(pairs, sigma_x: float, sigma_p: float, n_modes: int) ->
         for m in pairs[k + 1]:
             xpat[2 * m] = -1.0
             ppat[2 * m + 1] = +parity_sign(m)
-        patterns.append(NoisePattern(xpat, sigma_x))
-        patterns.append(NoisePattern(ppat, sigma_p))
+        patterns += [xpat, ppat]
     return patterns
+
+
+def chain_noise_patterns(pairs, sigma_x: float, sigma_p: float, n_modes: int) -> list[NoisePattern]:
+    """Nearest-neighbour pair-chain displacement patterns.
+
+    Pattern k puts x-signs +1 on the modes of pairs[k] and -1 on pairs[k+1];
+    its p-companion puts -eps_m on pairs[k] and +eps_m on pairs[k+1], where
+    eps_m is the alternating-nullifier sign of mode m.  Every pattern is
+    orthogonal to both global nullifiers, so the nullifier variances never
+    depend on the noise strengths.
+    """
+    patterns = _chain_patterns(pairs, n_modes)
+    strengths = [sigma_x, sigma_p] * (len(patterns) // 2)
+    return [NoisePattern(p, sigma) for p, sigma in zip(patterns, strengths)]
 
 
 def mode_permutation(targets, n_modes: int) -> SymplecticMap:
@@ -163,19 +170,50 @@ def mode_permutation(targets, n_modes: int) -> SymplecticMap:
     return SymplecticMap(S)
 
 
-def _epr_pairs_cov(r: float, pairs, n_modes: int) -> np.ndarray:
-    cov = np.zeros((2 * n_modes, 2 * n_modes))
-    block = epr_pair(r).cov
+def _epr_pairs_cov(r, pairs, n_modes: int) -> np.ndarray:
+    """Squeezed pairs (the :func:`epr_pair` block) on ``pairs``, stacked over the shape of ``r``."""
+    r = np.asarray(r, dtype=float)
+    c, s = np.cosh(2 * r) / 2, np.sinh(2 * r) / 2
+    cov = np.zeros(r.shape + (2 * n_modes, 2 * n_modes))
     for a, b in pairs:
-        idx = [2 * a, 2 * a + 1, 2 * b, 2 * b + 1]
-        cov[np.ix_(idx, idx)] = block
+        for q in (2 * a, 2 * a + 1, 2 * b, 2 * b + 1):
+            cov[..., q, q] = c
+        cov[..., 2 * a, 2 * b] = cov[..., 2 * b, 2 * a] = -s
+        cov[..., 2 * a + 1, 2 * b + 1] = cov[..., 2 * b + 1, 2 * a + 1] = s
     return cov
 
 
-def _add_noise(cov: np.ndarray, patterns) -> np.ndarray:
-    for noise in patterns:
-        cov = cov + noise.sigma**2 * np.outer(noise.pattern, noise.pattern)
+def _squares(sigma) -> np.ndarray:
+    # Python's float power (libm pow), which the constructors have always
+    # used: numpy's ``**`` squares by x*x and differs in the last bit for
+    # about 0.1% of inputs
+    sigma = np.asarray(sigma, dtype=float)
+    return np.reshape([v**2 for v in sigma.ravel().tolist()], sigma.shape)
+
+
+def _add_noise(cov: np.ndarray, patterns, strengths) -> np.ndarray:
+    """Add sigma^2 p p^T for each pattern in order, broadcast over the shape of each sigma."""
+    for pattern, sigma in zip(patterns, strengths):
+        cov = cov + _squares(sigma)[..., None, None] * np.outer(pattern, pattern)
     return cov
+
+
+def smolin_cv_covariances(n_pairs: int, r, sigma_x, sigma_p) -> np.ndarray:
+    """Covariance matrices of the :func:`smolin_cv_2n` family, broadcast over parameters.
+
+    ``r``, ``sigma_x`` and ``sigma_p`` are scalars or arrays broadcast to a
+    common shape S; the result has shape S + (4 n_pairs, 4 n_pairs), and each
+    matrix is bit-identical to the ``cov`` of ``smolin_cv_2n`` at those
+    parameters.  Nothing is validated: check the parameters with
+    :class:`BoundStateSpec` and the result with :func:`states.require_physical`.
+    """
+    r, sigma_x, sigma_p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (r, sigma_x, sigma_p)))
+    n_modes = 2 * n_pairs
+    pairs = [(2 * k, 2 * k + 1) for k in range(n_pairs)]
+    # EPR blocks first, then sigma^2 p p^T per chain pattern: the order of the
+    # floating-point additions fixes every bit of the result
+    cov = _epr_pairs_cov(r, pairs, n_modes)
+    return _add_noise(cov, _chain_patterns(pairs, n_modes), [sigma_x, sigma_p] * (n_pairs - 1))
 
 
 def smolin_cv_four(spec: BoundStateSpec) -> GaussianState:
@@ -193,9 +231,7 @@ def smolin_cv_four(spec: BoundStateSpec) -> GaussianState:
 
 def smolin_cv_2n(spec: BoundStateSpec) -> GaussianState:
     """2n-mode generalization with pair-chain noise (see module docstring)."""
-    pairs = [(2 * k, 2 * k + 1) for k in range(spec.n_pairs)]
-    cov = _epr_pairs_cov(spec.r, pairs, spec.n_modes)
-    cov = _add_noise(cov, chain_noise_patterns(pairs, spec.sigma_x, spec.sigma_p, spec.n_modes))
+    cov = smolin_cv_covariances(spec.n_pairs, spec.r, spec.sigma_x, spec.sigma_p)
     return GaussianState(np.zeros(2 * spec.n_modes), cov)
 
 
@@ -216,9 +252,8 @@ def _matched_regrouping(spec: BoundStateSpec) -> tuple[ConstructionVariant, Gaus
     grouping_pairs = GROUP_14_23.subsets
     original_pairs = GROUP_12_34.subsets
     base = np.sqrt(base_sq)
-    cov = _epr_pairs_cov(spec.r, grouping_pairs, 4)
-    cov = _add_noise(cov, chain_noise_patterns(grouping_pairs, base, base, 4))
-    cov = _add_noise(cov, chain_noise_patterns(original_pairs, np.sqrt(res_x_sq), np.sqrt(res_p_sq), 4))
+    cov = _add_noise(_epr_pairs_cov(spec.r, grouping_pairs, 4), _chain_patterns(grouping_pairs, 4), [base, base])
+    cov = _add_noise(cov, _chain_patterns(original_pairs, 4), [np.sqrt(res_x_sq), np.sqrt(res_p_sq)])
     variant = ConstructionVariant(
         GROUP_14_23,
         feasible=True,
@@ -239,10 +274,8 @@ def _factorized_regrouping(spec: BoundStateSpec) -> tuple[ConstructionVariant, G
     slots = _epr_pairs_cov(spec.r, [(0, 1), (2, 3)], 4)
     slots[4:, 4:] = _add_noise(
         slots[4:, 4:],
-        [
-            NoisePattern(np.array([1, 0, 1, 0], dtype=float), np.sqrt(2) * spec.sigma_x),
-            NoisePattern(np.array([0, 1, 0, -1], dtype=float), np.sqrt(2) * spec.sigma_p),
-        ],
+        [np.array([1, 0, 1, 0], dtype=float), np.array([0, 1, 0, -1], dtype=float)],
+        [np.sqrt(2) * spec.sigma_x, np.sqrt(2) * spec.sigma_p],
     )
     unmix = (beamsplitter(0, 2, -np.pi / 4, 4) @ beamsplitter(1, 3, -np.pi / 4, 4)).matrix
     variant = ConstructionVariant(

@@ -36,10 +36,12 @@ __all__ = [
     "log_negativity",
     "duan_value",
     "duan_threshold_sigma_sq",
+    "ppt_threshold_sigma",
     "ppt_threshold_search",
     "ppt_verdict",
     "duan_verdict",
     "construction_verdict",
+    "cut_diagnostics",
 ]
 
 
@@ -114,13 +116,16 @@ def log_negativity(state: GaussianState, bp: Bipartition) -> float:
     """Logarithmic negativity: sum of -log2(2 nu) over nu < 1/2, 0 when PPT."""
     if bp.n_modes != state.n_modes:
         raise ValueError("bipartition does not match the state's mode count")
-    nus = symplectic_eigenvalues(partial_transpose(state, bp.side_b))
+    return float(_log_neg(symplectic_eigenvalues(partial_transpose(state, bp.side_b))))
+
+
+def _log_neg(nus: np.ndarray) -> np.ndarray:
+    """Log-negativity of each spectrum along the last axis of ``nus``."""
     # the same cutoff as ppt_verdict, so the value is positive exactly when
-    # the verdict is "entangled"
-    below = nus[nus < 0.5 - VERDICT_TOL]
-    if below.size == 0:
-        return 0.0
-    return float(-np.log2(2.0 * below).sum())
+    # the verdict is "entangled"; log2(1) = 0 stands in for the other terms,
+    # and subtracting from 0.0 keeps an empty sum at +0
+    below = nus < 0.5 - VERDICT_TOL
+    return 0.0 - np.log2(np.where(below, 2.0 * nus, 1.0)).sum(axis=-1)
 
 
 def duan_value(state: GaussianState, i: int, j: int, sign: int = +1) -> float:
@@ -136,11 +141,17 @@ def duan_value(state: GaussianState, i: int, j: int, sign: int = +1) -> float:
     n = state.n_modes
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError("mode index out of range")
-    cx = np.zeros(2 * n)
-    cp = np.zeros(2 * n)
+    cx, cp = _duan_coeffs(n, i, j, sign)
+    return quad_variance(state, cx) + quad_variance(state, cp)
+
+
+def _duan_coeffs(n_modes: int, i: int, j: int, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature coefficients of x_i + sign x_j and p_i - sign p_j."""
+    cx = np.zeros(2 * n_modes)
+    cp = np.zeros(2 * n_modes)
     cx[2 * i], cx[2 * j] = 1.0, float(sign)
     cp[2 * i + 1], cp[2 * j + 1] = 1.0, -float(sign)
-    return quad_variance(state, cx) + quad_variance(state, cp)
+    return cx, cp
 
 
 def duan_threshold_sigma_sq(r: float) -> float:
@@ -153,6 +164,22 @@ def duan_threshold_sigma_sq(r: float) -> float:
     if r < 0:
         raise ValueError("squeezing parameter must be nonnegative")
     return float((1.0 - np.exp(-2.0 * r)) / 2.0)
+
+
+def ppt_threshold_sigma(r: float) -> float | None:
+    """Noise strength sqrt(sinh(2r)/4) at which the 14-23 cut turns PPT.
+
+    With sigma_x = sigma_p = sigma the four-mode state is NPT across 14-23
+    below this value and PPT from it on; it is also where the {0,3 | 1,2}
+    mixture recipe of ``factory.equivalent_construction`` becomes feasible.
+    Returns None at r = 0, where the state is PPT for every sigma.
+    :func:`ppt_threshold_search` finds the same value numerically.
+    """
+    if r < 0:
+        raise ValueError("squeezing parameter must be nonnegative")
+    if r == 0:
+        return None
+    return float(np.sqrt(np.sinh(2 * r) / 4.0))
 
 
 def ppt_threshold_search(
@@ -194,7 +221,10 @@ def ppt_threshold_search(
 
 def ppt_verdict(state: GaussianState, bp: Bipartition, tol: float = VERDICT_TOL) -> SeparabilityVerdict:
     """PPT test with the one-sidedness discipline described in the module docstring."""
-    nu_min = ppt_min_symplectic(state, bp)
+    return _ppt_rule(ppt_min_symplectic(state, bp), bp, tol)
+
+
+def _ppt_rule(nu_min: float, bp: Bipartition, tol: float = VERDICT_TOL) -> SeparabilityVerdict:
     if nu_min < 0.5 - tol:
         verdict = "entangled"
     elif len(bp.side_a) == 1 and len(bp.side_b) == 1:
@@ -232,3 +262,33 @@ def construction_verdict(spec: BoundStateSpec, label: str) -> SeparabilityVerdic
         verdict = "entangled" if nu < 0.5 - VERDICT_TOL else "separable"
         return SeparabilityVerdict("construction", verdict, nu, 0.5)
     raise ValueError(f"unknown bipartition label {label!r}")
+
+
+def cut_diagnostics(
+    covs: np.ndarray, bp: Bipartition
+) -> tuple[list[SeparabilityVerdict], np.ndarray, np.ndarray]:
+    """PPT verdicts, log-negativities and smallest cross two-mode witnesses of a stack.
+
+    ``covs`` is an (N, 2n, 2n) stack of covariance matrices that already
+    passed :func:`states.require_physical`.  One partial-transpose spectrum
+    per matrix gives both the PPT verdict and the log-negativity; the
+    two-mode witnesses ``duan_value(a, b, +/-1)`` over every a in
+    ``bp.side_a`` and b in ``bp.side_b`` are quadratic forms over the whole
+    stack.  Entry k equals, bit for bit, what :func:`ppt_verdict`,
+    :func:`log_negativity` and the minimum of :func:`duan_value` give for
+    matrix k.
+    """
+    covs = np.asarray(covs, dtype=float)
+    if covs.ndim != 3 or covs.shape[1:] != (2 * bp.n_modes, 2 * bp.n_modes):
+        raise ValueError("expected an (N, 2n, 2n) stack matching the bipartition")
+    nus = symplectic_eigenvalues(partial_transpose(covs, bp.side_b))
+    verdicts = [_ppt_rule(nu, bp) for nu in nus.min(axis=-1).tolist()]
+    # rows alternate x and p coefficients of each witness; each coefficient
+    # row has two nonzero +/-1 entries, so every sum below rounds once, as in
+    # quad_variance
+    coeffs = np.concatenate(
+        [_duan_coeffs(bp.n_modes, a, b, sign) for a in bp.side_a for b in bp.side_b for sign in (+1, -1)]
+    )
+    forms = ((coeffs @ covs) * coeffs).sum(axis=-1)
+    duan = (forms[:, 0::2] + forms[:, 1::2]).min(axis=-1)
+    return verdicts, _log_neg(nus), duan

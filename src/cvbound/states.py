@@ -43,6 +43,7 @@ __all__ = [
     "partial_trace",
     "partial_transpose",
     "symplectic_eigenvalues",
+    "require_physical",
     "quad_variance",
     "sample_oracle",
     "state_to_dict",
@@ -51,15 +52,31 @@ __all__ = [
 ]
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Symplectic form Omega for the interleaved ordering, 2x2 blocks [[0,1],[-1,0]]."""
-    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+_SYMPLECTIC_FORMS: dict[int, np.ndarray] = {}
+
+
+def symplectic_form(n_modes: int) -> np.ndarray:
+    """Symplectic form Omega for the interleaved ordering, 2x2 blocks [[0,1],[-1,0]].
+
+    The result is read-only and shared between calls: building it costs more
+    than the 8x8 spectrum that needs it.
+    """
+    omega = _SYMPLECTIC_FORMS.get(n_modes)
+    if omega is None:
+        omega = _readonly(np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]])))
+        _SYMPLECTIC_FORMS[n_modes] = omega
+    return omega
+
+
+def _matrix_max(a: np.ndarray) -> np.ndarray:
+    """Largest entry of each matrix in a (..., d, d) stack, shape (...)."""
+    return a.reshape(a.shape[:-2] + (-1,)).max(axis=-1)
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
@@ -72,28 +89,67 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     smallest eigenvalue of a strongly squeezed state), the eigen-decomposition
     root ``V sqrt(max(w, 0))`` takes its place.
 
-    Raises ``ValueError`` for non-symmetric, odd-dimensional or
+    ``cov`` may also be a stack of shape (..., 2n, 2n); the result then has
+    shape (..., n), every matrix is checked on its own, and each spectrum is
+    bit-identical to the one a separate call on that matrix returns.
+
+    Raises ``ValueError`` for non-finite, non-symmetric, odd-dimensional or
     non-positive-definite input.
     """
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
+    if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2] or cov.shape[-1] % 2:
         raise ValueError("covariance matrix must be square with even dimension")
-    scale = max(1.0, np.abs(cov).max())
-    if np.abs(cov - cov.T).max() > SYMMETRY_TOL * scale:
+    # a NaN or inf entry makes the largest magnitude non-finite
+    peak = _matrix_max(np.abs(cov))
+    if not np.isfinite(peak).all():
+        raise ValueError("covariance matrix has non-finite entries")
+    scale = np.maximum(1.0, peak)
+    if (_matrix_max(np.abs(cov - np.swapaxes(cov, -1, -2))) > SYMMETRY_TOL * scale).any():
         raise ValueError("covariance matrix must be symmetric")
     try:
         # succeeds only on numerically positive-definite input, which the
         # scale-relative check below would accept
         root = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(cov)
-        # scale-relative rejection: a strongly squeezed pure state is positive
-        # definite in exact arithmetic but numerically singular in float64
-        if w.min() <= -1e-12 * scale:
-            raise ValueError("covariance matrix must be positive definite") from None
-        root = v * np.sqrt(np.clip(w, 0.0, None))
-    n = cov.shape[0] // 2
-    return np.linalg.eigvalsh(1j * root.T @ symplectic_form(n) @ root)[n:]
+        root = _roots_with_fallback(cov, scale)
+    n = cov.shape[-1] // 2
+    return np.linalg.eigvalsh(1j * np.swapaxes(root, -1, -2) @ symplectic_form(n) @ root)[..., n:]
+
+
+def _roots_with_fallback(cov: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Cholesky factor of each matrix, or the eigen-decomposition root where it fails."""
+    d = cov.shape[-1]
+    flat = cov.reshape(-1, d, d)
+    roots = np.empty_like(flat)
+    for k, (m, s) in enumerate(zip(flat, np.ravel(scale))):
+        try:
+            roots[k] = np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            w, v = np.linalg.eigh(m)
+            # scale-relative rejection: a strongly squeezed pure state is
+            # positive definite in exact arithmetic but numerically singular
+            # in float64
+            if w.min() <= -1e-12 * s:
+                raise ValueError("covariance matrix must be positive definite") from None
+            roots[k] = v * np.sqrt(np.clip(w, 0.0, None))
+    return roots.reshape(cov.shape)
+
+
+def require_physical(cov: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``cov`` is a physical covariance matrix.
+
+    Physical means symmetric, positive definite and with every symplectic
+    eigenvalue >= 1/2 up to a scale-relative tolerance.  ``cov`` may be a
+    stack (..., 2n, 2n); the first unphysical matrix in C order names its
+    eigenvalue in the message, which is the one a 2-D call on it gives.
+    """
+    cov = np.asarray(cov, dtype=float)
+    nu_min = symplectic_eigenvalues(cov).min(axis=-1)
+    scale = np.maximum(1.0, _matrix_max(np.abs(cov)))
+    bad = nu_min < VACUUM_VAR - PHYSICALITY_TOL * scale
+    if bad.any():
+        worst = nu_min[bad].flat[0]
+        raise ValueError(f"unphysical covariance matrix: min symplectic eigenvalue {worst:.6g} < 1/2")
 
 
 @dataclass(frozen=True)
@@ -116,12 +172,7 @@ class GaussianState:
         d = mean.shape[0]
         if d == 0 or d % 2 or cov.shape != (d, d):
             raise ValueError(f"inconsistent moment dimensions: mean {mean.shape}, cov {cov.shape}")
-        nu_min = symplectic_eigenvalues(cov).min()
-        scale = max(1.0, np.abs(cov).max())
-        if nu_min < VACUUM_VAR - PHYSICALITY_TOL * scale:
-            raise ValueError(
-                f"unphysical covariance matrix: min symplectic eigenvalue {nu_min:.6g} < 1/2"
-            )
+        require_physical(cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -288,16 +339,18 @@ def partial_trace(state: GaussianState, keep: Iterable[int]) -> GaussianState:
     return GaussianState(state.mean[idx], state.cov[np.ix_(idx, idx)])
 
 
-def partial_transpose(state: GaussianState, flip: Iterable[int]) -> np.ndarray:
+def partial_transpose(state: GaussianState | np.ndarray, flip: Iterable[int]) -> np.ndarray:
     """Covariance matrix after partial transposition of the ``flip`` modes.
 
     Returns the raw matrix T cov T, where T negates the momentum row and
     column of every flipped mode.  The result is generally not a physical
     covariance matrix; a symplectic eigenvalue below 1/2 witnesses
     entanglement across any cut separating ``flip`` from the rest.
+    ``state`` may also be a covariance matrix or a (..., 2n, 2n) stack of them.
     """
+    cov = state.cov if isinstance(state, GaussianState) else np.asarray(state, dtype=float)
     flip = sorted(set(flip))
-    n = state.n_modes
+    n = cov.shape[-1] // 2
     if not flip or len(flip) >= n:
         raise ValueError("flip must be a nonempty proper subset of the modes")
     if flip[0] < 0 or flip[-1] >= n:
@@ -305,7 +358,7 @@ def partial_transpose(state: GaussianState, flip: Iterable[int]) -> np.ndarray:
     signs = np.ones(2 * n)
     for m in flip:
         signs[2 * m + 1] = -1.0
-    return signs[:, None] * state.cov * signs[None, :]
+    return signs[:, None] * cov * signs[None, :]
 
 
 def quad_variance(state: GaussianState, coeffs: np.ndarray) -> float:
@@ -365,7 +418,7 @@ def state_to_dict(state: GaussianState) -> dict:
 
 
 def moments_from_dict(data: dict) -> tuple[np.ndarray, np.ndarray]:
-    """(mean, cov) arrays of a :func:`state_to_dict` object, shape-checked only."""
+    """(mean, cov) arrays of a :func:`state_to_dict` object, checked for shape and finiteness only."""
     try:
         n = int(data["n_modes"])
         mean = np.asarray(data["mean"], dtype=float)
@@ -374,6 +427,9 @@ def moments_from_dict(data: dict) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"malformed state object: {exc}") from exc
     if mean.shape != (2 * n,) or cov.shape != (2 * n, 2 * n):
         raise ValueError("state object dimensions are inconsistent with n_modes")
+    for name, arr in (("mean", mean), ("cov", cov)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"state object has non-finite entries in {name}")
     return mean, cov
 
 

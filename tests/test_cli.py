@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import cvbound
+from cvbound import separability
 from cvbound.cli import main
+from cvbound.factory import BoundStateSpec, smolin_cv_four
 from cvbound.states import state_from_dict
 
 
@@ -100,6 +103,44 @@ def test_sep_check_r_zero_all_ppt(capsys):
     for row in json.loads(out)["rows"]:
         assert row["nu_min"] >= 0.5 - 1e-9
         assert row["verdict"] != "entangled"
+
+
+def test_sep_check_transition_is_the_closed_form(capsys):
+    code, out, _ = run(capsys, "sep-check", "--r", "1", "--sigma", "1")
+    assert code == 0
+    assert "14-23 ppt transition sigma* = 0.952215890417;" in out
+    # beyond the sigma_max = 10 bracket of the bisection search
+    code, out, _ = run(capsys, "sep-check", "--r", "3.5", "--sigma", "1", "--format", "json")
+    assert json.loads(out)["ppt_transition_sigma_14_23"] == pytest.approx(np.sqrt(np.sinh(7.0) / 4), rel=1e-11)
+    code, out, _ = run(capsys, "sep-check", "--r", "0", "--sigma", "1")
+    assert "14-23 ppt transition sigma* = none;" in out
+
+
+def _non_finite_state(tmp_path, where):
+    cov = (0.5 * np.eye(8)).tolist()
+    mean = [0.0] * 8
+    if where == "cov":
+        cov[2][3] = cov[3][2] = float("nan")
+    else:
+        mean[5] = float("inf")
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps({"n_modes": 4, "mean": mean, "cov": cov}))
+    return str(path)
+
+
+@pytest.mark.parametrize("where", ["cov", "mean"])
+@pytest.mark.parametrize(
+    "command, prefix",
+    [("sep-check", "error: cannot load state: "), ("validate", "error: malformed state file: ")],
+)
+def test_non_finite_state_file_exits_2(tmp_path, capsys, where, command, prefix):
+    path = _non_finite_state(tmp_path, where)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, command, "--state", path)
+    assert code == 2
+    assert err == f"{prefix}state object has non-finite entries in {where}\n"
+    assert "nan" not in out
 
 
 def test_sep_check_from_state_file(tmp_path, capsys):
@@ -207,6 +248,53 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
     run(capsys, *args, "--out", str(serial))
     run(capsys, *args, "--jobs", "3", "--out", str(parallel))
     assert serial.read_text() == parallel.read_text()
+
+
+@pytest.mark.parametrize("grid_r", ["-0.1", "25", "0:25:5"])
+def test_sweep_out_of_range_r_exits_2(capsys, grid_r):
+    code, out, err = run(capsys, "sweep", "--grid-r", grid_r, "--grid-sigma", "0:1:0.5")
+    assert code == 2
+    assert err == "error: squeezing parameter must lie in [0, 20]\n"
+    assert out == ""
+
+
+def _scalar_sweep_rows(label):
+    # the grid of --grid-r 0.1:3:0.3 --grid-sigma 0:5:0.5, one state per point
+    bp = separability.named_bipartition(label)
+    rows = []
+    for r in [0.1 + k * 0.3 for k in range(10)]:
+        for sigma in [k * 0.5 for k in range(11)]:
+            spec = BoundStateSpec(2, r, sigma, sigma)
+            state = smolin_cv_four(spec)
+            ppt_v = separability.ppt_verdict(state, bp)
+            if ppt_v.verdict == "entangled":
+                verdict = "entangled"
+            elif separability.construction_verdict(spec, label).verdict == "separable":
+                verdict = "separable"
+            else:
+                verdict = "inconclusive"
+            duans = [separability.duan_value(state, a, b, s) for a in bp.side_a for b in bp.side_b for s in (+1, -1)]
+            rows.append(
+                [r, sigma, label, ppt_v.witness_value, separability.log_negativity(state, bp), min(duans), verdict,
+                 separability.duan_threshold_sigma_sq(r)]
+            )  # fmt: skip
+    return rows
+
+
+@pytest.mark.parametrize("label", ["12-34", "14-23", "13-24"])
+def test_sweep_matches_scalar_api(capsys, label):
+    grid = ["--grid-r", "0.1:3:0.3", "--grid-sigma", "0:5:0.5", "--bipartition", label]
+    expected = _scalar_sweep_rows(label)
+    code, out, _ = run(capsys, "sweep", *grid)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "r,sigma,bipartition,nu_min,log_neg,duan,verdict,duan_threshold_sigma_sq"
+    assert lines[1:] == [",".join(f"{v:.12g}" if isinstance(v, float) else v for v in row) for row in expected]
+    code, out, _ = run(capsys, "sweep", *grid, "--format", "json")
+    assert code == 0
+    keys = lines[0].split(",")
+    rounded = [[float(f"{v:.12g}") if isinstance(v, float) else v for v in row] for row in expected]
+    assert json.loads(out) == [dict(zip(keys, row)) for row in rounded]
 
 
 def test_sweep_empty_grid_exits_1(capsys):

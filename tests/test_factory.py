@@ -12,6 +12,7 @@ from cvbound.factory import (
     equivalent_construction,
     mode_permutation,
     smolin_cv_2n,
+    smolin_cv_covariances,
     smolin_cv_four,
 )
 from cvbound.separability import named_bipartition, ppt_min_symplectic
@@ -20,7 +21,7 @@ from cvbound.stabilizer import (
     p_alternating_nullifier,
     x_sum_nullifier,
 )
-from cvbound.states import epr_pair, sample_oracle, symplectic_eigenvalues, tensor
+from cvbound.states import add_classical_noise, epr_pair, sample_oracle, symplectic_eigenvalues, tensor
 
 
 def test_spec_validation():
@@ -117,6 +118,34 @@ def test_2n_constructor_matches_sampling_oracle():
     _, cov_est = sample_oracle(state, count, seed=17)
     se = np.sqrt((np.outer(np.diag(state.cov), np.diag(state.cov)) + state.cov**2) / count)
     assert (np.abs(cov_est - state.cov) <= 5 * se + 1e-12).all()
+
+
+@pytest.mark.parametrize("n_pairs", [2, 3, 5])
+def test_2n_bit_identical_to_state_operations(n_pairs, rng):
+    # squeezed pairs first, then sigma^2 p p^T per chain pattern in order:
+    # the addition order fixes every bit of the covariance
+    for _ in range(20):
+        spec = BoundStateSpec(n_pairs, rng.uniform(0, 6), rng.uniform(0, 8), rng.uniform(0, 8))
+        state = epr_pair(spec.r)
+        for _ in range(n_pairs - 1):
+            state = tensor(state, epr_pair(spec.r))
+        pairs = [(2 * k, 2 * k + 1) for k in range(n_pairs)]
+        for noise in chain_noise_patterns(pairs, spec.sigma_x, spec.sigma_p, spec.n_modes):
+            state = add_classical_noise(state, noise)
+        assert np.array_equal(smolin_cv_2n(spec).cov, state.cov)
+
+
+@pytest.mark.parametrize("n_pairs", [2, 3])
+def test_covariance_builder_broadcasts_bit_identically(n_pairs, rng):
+    r = rng.uniform(0, 5, size=(4, 1))
+    sigma_x = rng.uniform(0, 5, size=(1, 6))
+    sigma_p = rng.uniform(0, 5, size=6)
+    covs = smolin_cv_covariances(n_pairs, r, sigma_x, sigma_p)
+    assert covs.shape == (4, 6, 4 * n_pairs, 4 * n_pairs)
+    for i in range(4):
+        for j in range(6):
+            spec = BoundStateSpec(n_pairs, float(r[i, 0]), float(sigma_x[0, j]), float(sigma_p[j]))
+            assert np.array_equal(covs[i, j], smolin_cv_2n(spec).cov)
 
 
 def test_chain_patterns_orthogonal_to_nullifiers():

@@ -6,6 +6,7 @@ from cvbound.separability import (
     Bipartition,
     SeparabilityVerdict,
     construction_verdict,
+    cut_diagnostics,
     duan_threshold_sigma_sq,
     duan_value,
     duan_verdict,
@@ -13,6 +14,7 @@ from cvbound.separability import (
     named_bipartition,
     ppt_min_symplectic,
     ppt_threshold_search,
+    ppt_threshold_sigma,
     ppt_verdict,
 )
 from cvbound.states import (
@@ -157,6 +159,34 @@ def test_threshold_search_input_that_broke_the_spectrum():
     bp = named_bipartition("14-23")
     assert ppt_threshold_search(r, bp) == pytest.approx(np.sqrt(np.sinh(2 * r) / 4), abs=1e-6)
     assert ppt_min_symplectic(four_mode(r, 10.0), bp) >= 0.5 - 1e-9
+
+
+def test_threshold_closed_form_matches_bisection_oracle():
+    bp = named_bipartition("14-23")
+    for r in np.linspace(0.1, 3.0, 30):
+        assert ppt_threshold_sigma(r) == pytest.approx(ppt_threshold_search(r, bp), abs=1e-6)
+    assert ppt_threshold_sigma(1.0) == pytest.approx(0.952215890417, abs=1e-12)
+    assert ppt_threshold_sigma(0.0) is None
+    # beyond the sigma_max = 10 bracket of the search
+    assert ppt_threshold_sigma(3.5) > 10.0
+    with pytest.raises(ValueError):
+        ppt_threshold_sigma(-0.1)
+
+
+def test_cut_diagnostics_equal_scalar_api(rng):
+    specs = [BoundStateSpec(2, rng.uniform(0, 3), s, s) for s in rng.uniform(0, 5, 25)]
+    stack = np.array([smolin_cv_four(spec).cov for spec in specs])
+    for label in ("12-34", "14-23", "13-24"):
+        bp = named_bipartition(label)
+        verdicts, log_negs, duans = cut_diagnostics(stack, bp)
+        for spec, verdict, log_neg, duan in zip(specs, verdicts, log_negs, duans):
+            state = smolin_cv_four(spec)
+            assert verdict == ppt_verdict(state, bp)
+            assert log_neg == log_negativity(state, bp)
+            pairs = [(a, b, sign) for a in bp.side_a for b in bp.side_b for sign in (+1, -1)]
+            assert duan == min(duan_value(state, *pair) for pair in pairs)
+    with pytest.raises(ValueError):
+        cut_diagnostics(stack[0], bp)
 
 
 def test_ppt_transition_consistency():

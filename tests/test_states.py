@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvbound.states import (
+    VACUUM_VAR,
     GaussianState,
     NoisePattern,
     SymplecticMap,
@@ -13,7 +16,9 @@ from cvbound.states import (
     epr_pair,
     partial_trace,
     partial_transpose,
+    moments_from_dict,
     quad_variance,
+    require_physical,
     rotation,
     sample_oracle,
     state_from_dict,
@@ -309,3 +314,57 @@ def test_serialization_round_trip():
     assert np.array_equal(back.mean, state.mean)
     with pytest.raises(ValueError):
         state_from_dict({"n_modes": 2, "mean": [0, 0], "cov": data["cov"]})
+
+
+def _random_covs(rng, count, n_modes):
+    # symplectic eigenvalues of A A^T + I/2 are at least 1/2
+    a = rng.standard_normal((count, 2 * n_modes, 2 * n_modes))
+    return a @ np.swapaxes(a, -1, -2) + VACUUM_VAR * np.eye(2 * n_modes)
+
+
+@pytest.mark.parametrize("n_modes", [4, 8])
+def test_stacked_spectra_equal_per_matrix_loop(rng, n_modes):
+    covs = _random_covs(rng, 13, n_modes)
+    loop = np.array([symplectic_eigenvalues(c) for c in covs])
+    assert np.array_equal(symplectic_eigenvalues(covs), loop)
+    grid = covs[:12].reshape(3, 4, 2 * n_modes, 2 * n_modes)
+    assert np.array_equal(symplectic_eigenvalues(grid), loop[:12].reshape(3, 4, n_modes))
+
+
+def _error_text(fn, arg):
+    with pytest.raises(ValueError) as err:
+        fn(arg)
+    return str(err.value)
+
+
+def test_stack_with_one_bad_member_raises_the_2d_message(rng):
+    covs = _random_covs(rng, 5, 4)
+    asym = covs.copy()
+    asym[3, 0, 1] += 1e-3
+    assert _error_text(symplectic_eigenvalues, asym) == _error_text(symplectic_eigenvalues, asym[3])
+    assert "symmetric" in _error_text(symplectic_eigenvalues, asym)
+    indefinite = covs.copy()
+    indefinite[2] = -indefinite[2]
+    assert _error_text(symplectic_eigenvalues, indefinite) == _error_text(symplectic_eigenvalues, indefinite[2])
+    assert "positive definite" in _error_text(symplectic_eigenvalues, indefinite)
+    weak = covs.copy()
+    weak[1] = 0.3 * np.eye(8)
+    weak[4] = 0.2 * np.eye(8)  # only the first unphysical member is named
+    expected = _error_text(lambda cov: GaussianState(np.zeros(8), cov), weak[1])
+    assert _error_text(require_physical, weak) == expected
+    assert expected.startswith("unphysical covariance matrix: min symplectic eigenvalue 0.3 ")
+    require_physical(covs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_covariance_rejected(rng, bad):
+    cov = _random_covs(rng, 1, 2)[0]
+    cov[1, 2] = cov[2, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert "non-finite" in _error_text(symplectic_eigenvalues, cov)
+        assert "non-finite" in _error_text(symplectic_eigenvalues, np.stack([cov, np.eye(4)]))
+        data = {"n_modes": 2, "mean": [0.0] * 4, "cov": cov.tolist()}
+        assert _error_text(moments_from_dict, data) == "state object has non-finite entries in cov"
+        data = {"n_modes": 2, "mean": [0.0, bad, 0.0, 0.0], "cov": np.eye(4).tolist()}
+        assert _error_text(moments_from_dict, data) == "state object has non-finite entries in mean"
