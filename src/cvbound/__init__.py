@@ -24,6 +24,7 @@ from .states import (
     vacuum_state,
 )
 from .stabilizer import (
+    Bipartition,
     Nullifier,
     Partition,
     PauliElement,
@@ -49,7 +50,6 @@ from .factory import (
     smolin_cv_four,
 )
 from .separability import (
-    Bipartition,
     SeparabilityVerdict,
     duan_threshold_sigma_sq,
     duan_value,
@@ -59,7 +59,6 @@ from .separability import (
     ppt_threshold_search,
 )
 from .protocols import (
-    MeasurementSpec,
     ProtocolReport,
     bell_measure,
     homodyne_condition,

@@ -128,11 +128,7 @@ def cmd_nullifiers(args) -> int:
     if spec.n_pairs == 2:
         gens = [stabilizer.x_sum_generator(4), stabilizer.p_alternating_generator(4)]
         tables = {}
-        for label, part in (
-            ("12-34", factory.GROUP_12_34),
-            ("14-23", factory.GROUP_14_23),
-            ("13-24", factory.GROUP_13_24),
-        ):
+        for label, part in separability.FOUR_MODE_BIPARTITIONS.items():
             table = stabilizer.partition_commutation_table(gens, part)
             tables[label] = {
                 "all_local_commuting": stabilizer.all_local_commuting(table),
@@ -306,8 +302,8 @@ def _validate_state_file(path: str, failures: list[str], lines: list[str]) -> in
     _check("cov-symmetry", asym <= 1e-10 * max(1.0, np.abs(cov).max()), f"max asymmetry {_fmt(asym)}", failures, lines)
     if not failures:
         try:
-            nu_min = float(states.symplectic_eigenvalues(cov).min())
-            _check("physicality", nu_min >= 0.5 - 1e-9, f"min symplectic eigenvalue {_fmt(nu_min)}", failures, lines)
+            nu_min = float(states.require_physical(cov))
+            _check("physicality", True, f"min symplectic eigenvalue {_fmt(nu_min)}", failures, lines)
         except ValueError as exc:
             _check("physicality", False, str(exc), failures, lines)
     return 1 if failures else 0
@@ -359,10 +355,11 @@ def cmd_validate(args) -> int:
     )
     _check("commutation-tables", ok, "12-34 and 14-23 commute locally, 13-24 does not (|omega| = 2)", failures, lines)
 
-    nu_13 = separability.ppt_min_symplectic(state, separability.named_bipartition("13-24"))
-    nu_12 = separability.ppt_min_symplectic(state, separability.named_bipartition("12-34"))
-    ok = nu_13 < 0.5 - 1e-10 and nu_12 >= 0.5 - 1e-9
-    _check("ppt-verdicts", ok, f"nu_min(13-24) = {_fmt(nu_13)}, nu_min(12-34) = {_fmt(nu_12)}", failures, lines)
+    v_13 = separability.ppt_verdict(state, separability.named_bipartition("13-24"))
+    v_12 = separability.ppt_verdict(state, separability.named_bipartition("12-34"))
+    ok = v_13.verdict == "entangled" and v_12.verdict != "entangled"
+    detail = f"nu_min(13-24) = {_fmt(v_13.witness_value)}, nu_min(12-34) = {_fmt(v_12.witness_value)}"
+    _check("ppt-verdicts", ok, detail, failures, lines)
 
     rep = protocols.unlock(spec, (2, 3))
     ok = abs(rep.witness_sum_x - expected) < 1e-10 and abs(rep.witness_diff_p - expected) < 1e-10

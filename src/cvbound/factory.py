@@ -38,12 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stabilizer import Partition, parity_sign
-from .states import GaussianState, NoisePattern, SymplecticMap, beamsplitter
+from .stabilizer import Bipartition, Partition, parity_sign
+from .states import MAX_SQUEEZING, GaussianState, NoisePattern, beamsplitter
 
-GROUP_12_34 = Partition(((0, 1), (2, 3)))
-GROUP_14_23 = Partition(((0, 3), (1, 2)))
-GROUP_13_24 = Partition(((0, 2), (1, 3)))
+GROUP_12_34 = Bipartition((0, 1), (2, 3))
+GROUP_14_23 = Bipartition((0, 3), (1, 2))
+GROUP_13_24 = Bipartition((0, 2), (1, 3))
 
 __all__ = [
     "BoundStateSpec",
@@ -56,7 +56,6 @@ __all__ = [
     "smolin_cv_covariances",
     "equivalent_construction",
     "chain_noise_patterns",
-    "mode_permutation",
 ]
 
 
@@ -72,10 +71,12 @@ class BoundStateSpec:
     def __post_init__(self):
         if int(self.n_pairs) != self.n_pairs or self.n_pairs < 2:
             raise ValueError("n_pairs must be an integer >= 2")
-        if not 0.0 <= self.r <= 20.0:
-            raise ValueError("squeezing parameter must lie in [0, 20]")
+        if not 0.0 <= self.r <= MAX_SQUEEZING:
+            raise ValueError(f"squeezing parameter must lie in [0, {MAX_SQUEEZING:g}]")
         if self.sigma_x < 0 or self.sigma_p < 0:
             raise ValueError("noise strengths must be nonnegative")
+        if not (np.isfinite(self.sigma_x) and np.isfinite(self.sigma_p)):
+            raise ValueError("noise strengths must be finite")
 
     @property
     def n_modes(self) -> int:
@@ -156,18 +157,6 @@ def chain_noise_patterns(pairs, sigma_x: float, sigma_p: float, n_modes: int) ->
     patterns = _chain_patterns(pairs, n_modes)
     strengths = [sigma_x, sigma_p] * (len(patterns) // 2)
     return [NoisePattern(p, sigma) for p, sigma in zip(patterns, strengths)]
-
-
-def mode_permutation(targets, n_modes: int) -> SymplecticMap:
-    """Symplectic map relabelling mode m of the input to targets[m]."""
-    targets = list(targets)
-    if sorted(targets) != list(range(n_modes)):
-        raise ValueError("targets must be a permutation of 0..n-1")
-    S = np.zeros((2 * n_modes, 2 * n_modes))
-    for src, dst in enumerate(targets):
-        S[2 * dst, 2 * src] = 1.0
-        S[2 * dst + 1, 2 * src + 1] = 1.0
-    return SymplecticMap(S)
 
 
 def _epr_pairs_cov(r, pairs, n_modes: int) -> np.ndarray:
@@ -299,15 +288,16 @@ def equivalent_construction(
 ) -> tuple[ConstructionVariant, GaussianState | None]:
     """Rebuild the four-mode state from resources on a different mode pairing.
 
-    Supported groupings are {0,3 | 1,2} and {0,2 | 1,3}.  Whenever the
-    returned variant reports matched parameters, the rebuilt covariance
-    matrix equals the one from :func:`smolin_cv_four` elementwise to 1e-10;
-    infeasibility is a value, not an error.
+    Supported groupings (a :class:`Partition` or :class:`Bipartition`) are
+    {0,3 | 1,2} and {0,2 | 1,3}.  Whenever the returned variant reports
+    matched parameters, the rebuilt covariance matrix equals the one from
+    :func:`smolin_cv_four` elementwise to 1e-10; infeasibility is a value,
+    not an error.
     """
     if spec.n_pairs != 2:
         raise ValueError("equivalent constructions are defined for the four-mode state")
-    if grouping == GROUP_14_23:
+    if grouping.subsets == GROUP_14_23.subsets:
         return _matched_regrouping(spec)
-    if grouping == GROUP_13_24:
+    if grouping.subsets == GROUP_13_24.subsets:
         return _factorized_regrouping(spec)
     raise ValueError("unsupported grouping: expected {0,3 | 1,2} or {0,2 | 1,3}")

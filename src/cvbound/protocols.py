@@ -29,16 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factory import BoundStateSpec, smolin_cv_four
-from .separability import duan_value
+from .separability import duan_value, duan_verdict
 from .stabilizer import parity_sign
 from .states import GaussianState, quad_variance, symplectic_form, tensor
 
 PINV_CUTOFF = 1e-12
 COMMUTE_TOL = 1e-10
-ENTANGLED_TOL = 1e-12
 
 __all__ = [
-    "MeasurementSpec",
     "ProtocolReport",
     "homodyne_condition",
     "measure_with_feedforward",
@@ -46,26 +44,6 @@ __all__ = [
     "unlock",
     "superactivate",
 ]
-
-
-@dataclass(frozen=True)
-class MeasurementSpec:
-    """A homodyne (one mode) or joint sum/difference measurement (two modes)."""
-
-    kind: str  # homodyne_x | homodyne_p | bell
-    modes: tuple[int, ...]
-
-    def __post_init__(self):
-        modes = tuple(self.modes)
-        if self.kind in ("homodyne_x", "homodyne_p"):
-            if len(modes) != 1:
-                raise ValueError("homodyne measures exactly one mode")
-        elif self.kind == "bell":
-            if len(modes) != 2 or modes[0] == modes[1]:
-                raise ValueError("joint measurement needs two distinct modes")
-        else:
-            raise ValueError(f"unknown measurement kind {self.kind!r}")
-        object.__setattr__(self, "modes", modes)
 
 
 @dataclass(frozen=True)
@@ -177,24 +155,34 @@ def measure_with_feedforward(
     return GaussianState(M @ state.mean, M @ state.cov @ M.T)
 
 
-def bell_measure(
-    state: GaussianState,
-    i: int,
-    j: int,
-    *,
-    target: int | None = None,
-    x_gain: float = 1.0,
-    p_gain: float | None = None,
-) -> GaussianState:
+def _joint_readout(n_modes: int, pairs, target: int) -> tuple[list[np.ndarray], list[tuple]]:
+    """Readout vectors and unit-gain feedforward of joint measurements on ``pairs``.
+
+    Pair (i, j) is read out as (x_i + x_j, p_i - p_j) and both outcomes go to
+    mode ``target``: x with gain 1, p with ``eps_target * eps_i`` when i and j
+    differ in mode parity (1 otherwise), so that on the canonical family the
+    corrected target reproduces the global nullifiers.  Pair by pair, x first.
+    """
+    combos, corrections = [], []
+    for i, j in pairs:
+        y1 = np.zeros(2 * n_modes)
+        y1[2 * i] = y1[2 * j] = 1.0
+        y2 = np.zeros(2 * n_modes)
+        y2[2 * i + 1], y2[2 * j + 1] = 1.0, -1.0
+        mixed = parity_sign(i) != parity_sign(j)
+        p_gain = parity_sign(target) * parity_sign(i) if mixed else 1.0
+        corrections += [(target, "x", 1.0, len(combos)), (target, "p", p_gain, len(combos) + 1)]
+        combos += [y1, y2]
+    return combos, corrections
+
+
+def bell_measure(state: GaussianState, i: int, j: int) -> GaussianState:
     """Joint measurement of (x_i + x_j, p_i - p_j) with unit-gain feedforward.
 
     Optically this is a balanced beamsplitter on (i, j) followed by an x
     homodyne on one port and a p homodyne on the other; the outcomes are
-    broadcast and added to one surviving mode (``target``, lowest survivor by
-    default) with gains of magnitude 1.  The default p gain follows the
-    alternating mode-parity convention of the canonical stabilizer family,
-    so that on those states the corrected survivor combinations reproduce the
-    global nullifiers; pass explicit gains to override.
+    broadcast and added to the lowest surviving mode with the gains of
+    :func:`_joint_readout`.
     """
     n = state.n_modes
     if i == j:
@@ -204,22 +192,9 @@ def bell_measure(
     if n < 3:
         raise ValueError("measurement would leave no modes")
     i, j = min(i, j), max(i, j)
-    survivors = [m for m in range(n) if m not in (i, j)]
-    if target is None:
-        target = survivors[0]
-    if p_gain is None:
-        mixed = parity_sign(i) != parity_sign(j)
-        p_gain = parity_sign(target) * parity_sign(i) if mixed else 1.0
-    y1 = np.zeros(2 * n)
-    y1[2 * i] = y1[2 * j] = 1.0
-    y2 = np.zeros(2 * n)
-    y2[2 * i + 1], y2[2 * j + 1] = 1.0, -1.0
-    return measure_with_feedforward(
-        state,
-        removed_modes=(i, j),
-        measured_combos=(y1, y2),
-        corrections=((target, "x", x_gain, 0), (target, "p", p_gain, 1)),
-    )
+    target = min(m for m in range(n) if m not in (i, j))
+    combos, corrections = _joint_readout(n, [(i, j)], target)
+    return measure_with_feedforward(state, (i, j), combos, corrections)
 
 
 def _pair_report(conditioned: GaussianState, survivors, params: dict) -> ProtocolReport:
@@ -236,7 +211,7 @@ def _pair_report(conditioned: GaussianState, survivors, params: dict) -> Protoco
         duan_plus=duan_plus,
         duan_minus=duan_minus,
         duan=duan,
-        entangled=bool(duan < 2.0 - ENTANGLED_TOL),
+        entangled=duan_verdict(duan).verdict == "entangled",
         params=params,
     )
 
@@ -263,10 +238,9 @@ def unlock(spec: BoundStateSpec, measured_pair) -> ProtocolReport:
     return _pair_report(conditioned, survivors, params)
 
 
-# measured party pairs of the two-copy protocol and the unit gains applied to
-# the receiver mode; copy A holds modes 0..3, copy B holds modes 4..7
+# measured party pairs of the two-copy protocol and the mode that receives the
+# outcomes; copy A holds modes 0..3, copy B holds modes 4..7
 _SUPERACTIVATION_PAIRS = ((0, 5), (1, 6), (2, 7))
-_SUPERACTIVATION_P_GAINS = (-1.0, 1.0, -1.0)
 _RECEIVER_MODE = 3
 
 
@@ -276,25 +250,17 @@ def superactivate(spec: BoundStateSpec) -> ProtocolReport:
     Three parties each hold one mode of either copy and measure their pairs
     (0,5), (1,6), (2,7) jointly; the receiver (mode 3) adds the broadcast
     x outcomes with gains (+1, +1, +1) and the p outcomes with gains
-    (-1, +1, -1).  The corrected receiver and the untouched far mode 4 are
-    then left with var(x_4 + x_3') = var(p_4 - p_3') = 4 exp(-2r): each
-    corrected combination is the sum of one nullifier from each copy, two
-    independent terms of variance 2 exp(-2r) apiece.
+    (-1, +1, -1), the mode-parity rule of :func:`_joint_readout`.  The
+    corrected receiver and the untouched far mode 4 are then left with
+    var(x_4 + x_3') = var(p_4 - p_3') = 4 exp(-2r): each corrected
+    combination is the sum of one nullifier from each copy, two independent
+    terms of variance 2 exp(-2r) apiece.
     """
     if spec.n_pairs != 2:
         raise ValueError("superactivation is defined for the four-mode state")
     one_copy = smolin_cv_four(spec)
     state = tensor(one_copy, one_copy)
-    combos = []
-    corrections = []
-    for k, (a, b) in enumerate(_SUPERACTIVATION_PAIRS):
-        y1 = np.zeros(16)
-        y1[2 * a] = y1[2 * b] = 1.0
-        y2 = np.zeros(16)
-        y2[2 * a + 1], y2[2 * b + 1] = 1.0, -1.0
-        combos.extend((y1, y2))
-        corrections.append((_RECEIVER_MODE, "x", 1.0, 2 * k))
-        corrections.append((_RECEIVER_MODE, "p", _SUPERACTIVATION_P_GAINS[k], 2 * k + 1))
+    combos, corrections = _joint_readout(state.n_modes, _SUPERACTIVATION_PAIRS, _RECEIVER_MODE)
     removed = sorted(m for pair in _SUPERACTIVATION_PAIRS for m in pair)
     conditioned = measure_with_feedforward(state, removed, combos, corrections)
     params = dict(spec.to_dict(), measured_pairs=[list(p) for p in _SUPERACTIVATION_PAIRS])

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factory import BoundStateSpec, smolin_cv_four
+from .factory import GROUP_12_34, GROUP_13_24, GROUP_14_23, BoundStateSpec, smolin_cv_four
+from .stabilizer import Bipartition
 from .states import GaussianState, partial_transpose, quad_variance, symplectic_eigenvalues
 
 VERDICT_TOL = 1e-10
@@ -45,35 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """Two disjoint mode sets covering 0..n-1."""
-
-    side_a: tuple[int, ...]
-    side_b: tuple[int, ...]
-
-    def __init__(self, side_a, side_b):
-        a = tuple(sorted(side_a))
-        b = tuple(sorted(side_b))
-        if not a or not b:
-            raise ValueError("both sides of a bipartition must be nonempty")
-        if set(a) & set(b):
-            raise ValueError("bipartition sides must be disjoint")
-        if set(a) | set(b) != set(range(len(a) + len(b))):
-            raise ValueError("bipartition sides must cover modes 0..n-1")
-        object.__setattr__(self, "side_a", a)
-        object.__setattr__(self, "side_b", b)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.side_a) + len(self.side_b)
-
-
-FOUR_MODE_BIPARTITIONS = {
-    "12-34": Bipartition((0, 1), (2, 3)),
-    "14-23": Bipartition((0, 3), (1, 2)),
-    "13-24": Bipartition((0, 2), (1, 3)),
-}
+FOUR_MODE_BIPARTITIONS = {"12-34": GROUP_12_34, "14-23": GROUP_14_23, "13-24": GROUP_13_24}
 
 
 def named_bipartition(label: str) -> Bipartition:

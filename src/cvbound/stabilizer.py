@@ -23,6 +23,7 @@ __all__ = [
     "PauliElement",
     "Nullifier",
     "Partition",
+    "Bipartition",
     "symplectic_phase",
     "commutes",
     "restrict",
@@ -113,6 +114,21 @@ class Partition:
     @property
     def n_modes(self) -> int:
         return sum(len(sub) for sub in self.subsets)
+
+
+class Bipartition(Partition):
+    """A two-party partition, a cut ``side_a | side_b``."""
+
+    def __init__(self, side_a, side_b):
+        super().__init__((side_a, side_b))
+
+    @property
+    def side_a(self) -> tuple[int, ...]:
+        return self.subsets[0]
+
+    @property
+    def side_b(self) -> tuple[int, ...]:
+        return self.subsets[1]
 
 
 def symplectic_phase(u: PauliElement, v: PauliElement) -> float:

@@ -135,13 +135,14 @@ def _roots_with_fallback(cov: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return roots.reshape(cov.shape)
 
 
-def require_physical(cov: np.ndarray) -> None:
+def require_physical(cov: np.ndarray) -> np.ndarray:
     """Raise ``ValueError`` unless ``cov`` is a physical covariance matrix.
 
     Physical means symmetric, positive definite and with every symplectic
     eigenvalue >= 1/2 up to a scale-relative tolerance.  ``cov`` may be a
     stack (..., 2n, 2n); the first unphysical matrix in C order names its
     eigenvalue in the message, which is the one a 2-D call on it gives.
+    Returns the smallest symplectic eigenvalue of each matrix, shape (...).
     """
     cov = np.asarray(cov, dtype=float)
     nu_min = symplectic_eigenvalues(cov).min(axis=-1)
@@ -150,6 +151,7 @@ def require_physical(cov: np.ndarray) -> None:
     if bad.any():
         worst = nu_min[bad].flat[0]
         raise ValueError(f"unphysical covariance matrix: min symplectic eigenvalue {worst:.6g} < 1/2")
+    return nu_min
 
 
 @dataclass(frozen=True)
@@ -198,12 +200,6 @@ class SymplecticMap:
 
     def __matmul__(self, other: "SymplecticMap") -> "SymplecticMap":
         return SymplecticMap(self.matrix @ other.matrix)
-
-    def inverse(self) -> "SymplecticMap":
-        n = self.matrix.shape[0] // 2
-        omega = symplectic_form(n)
-        # S^-1 = Omega^T S^T Omega for symplectic S
-        return SymplecticMap(omega.T @ self.matrix.T @ omega)
 
 
 @dataclass(frozen=True)

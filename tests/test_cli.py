@@ -258,6 +258,24 @@ def test_sweep_out_of_range_r_exits_2(capsys, grid_r):
     assert out == ""
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        pytest.param(["sweep", "--grid-r", "1", "--grid-sigma"], "error: ", id="sweep"),
+        pytest.param(["sep-check", "--sigma"], "error: malformed state spec: ", id="sep-check"),
+        pytest.param(["unlock", "--pair", "3,4", "--sigma-p"], "error: malformed state spec: ", id="unlock"),
+    ],
+)
+def test_non_finite_noise_strength_exits_2(capsys, argv, prefix, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, *argv, value)
+    assert code == 2
+    assert err == f"{prefix}noise strengths must be finite\n"
+    assert out == ""
+
+
 def _scalar_sweep_rows(label):
     # the grid of --grid-r 0.1:3:0.3 --grid-sigma 0:5:0.5, one state per point
     bp = separability.named_bipartition(label)
@@ -338,6 +356,18 @@ def test_validate_good_state_file(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", "--state", str(path))
     assert code == 0
     assert "[FAIL]" not in out
+
+
+def test_validate_accepts_strongly_squeezed_built_state(tmp_path, capsys):
+    # nu_min of this file is 0.4999997: inside the scale-relative physicality
+    # tolerance that GaussianState and sep-check --state apply
+    path = tmp_path / "r6.json"
+    run(capsys, "build", "--r", "6", "--sigma", "1", "--out", str(path))
+    code, out, _ = run(capsys, "sep-check", "--state", str(path))
+    assert code == 0
+    code, out, _ = run(capsys, "validate", "--state", str(path))
+    assert code == 0
+    assert out.splitlines()[1].startswith("[PASS] physicality: min symplectic eigenvalue 0.4999997")
 
 
 def test_cli_import_loads_neither_scipy_nor_multiprocessing():

@@ -10,13 +10,13 @@ from cvbound.factory import (
     BoundStateSpec,
     chain_noise_patterns,
     equivalent_construction,
-    mode_permutation,
     smolin_cv_2n,
     smolin_cv_covariances,
     smolin_cv_four,
 )
 from cvbound.separability import named_bipartition, ppt_min_symplectic
 from cvbound.stabilizer import (
+    Partition,
     nullifier_variance,
     p_alternating_nullifier,
     x_sum_nullifier,
@@ -33,6 +33,11 @@ def test_spec_validation():
         BoundStateSpec(r=21.0)
     with pytest.raises(ValueError):
         BoundStateSpec(sigma_x=-1.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="noise strengths must be finite"):
+            BoundStateSpec(sigma_x=bad)
+        with pytest.raises(ValueError, match="noise strengths must be finite"):
+            BoundStateSpec(sigma_p=bad)
     spec = BoundStateSpec.from_dict({"n_pairs": 3, "r": 0.5, "sigma_x": 1, "sigma_p": 2})
     assert spec.n_modes == 6
     with pytest.raises(ValueError):
@@ -159,18 +164,6 @@ def test_chain_patterns_orthogonal_to_nullifiers():
             assert abs(noise.pattern @ h2) == 0.0
 
 
-def test_mode_permutation_roundtrip():
-    state = smolin_cv_2n(BoundStateSpec(2, 0.9, 0.8, 0.8))
-    perm = mode_permutation([2, 0, 3, 1], 4)
-    from cvbound.states import apply_symplectic
-
-    out = apply_symplectic(state, perm)
-    back = apply_symplectic(out, perm.inverse())
-    assert np.allclose(back.cov, state.cov, atol=1e-12)
-    with pytest.raises(ValueError):
-        mode_permutation([0, 0, 1, 2], 4)
-
-
 @given(
     r=st.floats(0.0, 3.0),
     sigma_x=st.floats(0.0, 5.0),
@@ -264,6 +257,24 @@ def test_factorized_construction_cut_stays_entangled(sigma):
     nu = ppt_min_symplectic(state, named_bipartition("13-24"))
     assert nu == pytest.approx(np.exp(-2.0) / 2, abs=1e-9)
     assert nu < 0.5
+
+
+@pytest.mark.parametrize(
+    "grouping, expected",
+    [
+        (named_bipartition("14-23"), GROUP_14_23),
+        (Partition(((0, 3), (1, 2))), GROUP_14_23),
+        (named_bipartition("13-24"), GROUP_13_24),
+        (Partition(((0, 2), (1, 3))), GROUP_13_24),
+    ],
+)
+def test_equivalent_construction_accepts_partition_or_bipartition(grouping, expected):
+    spec = BoundStateSpec(2, 0.6, 1.1, 0.9)
+    variant, rebuilt = equivalent_construction(spec, grouping)
+    reference, ref_state = equivalent_construction(spec, expected)
+    assert variant.feasible
+    assert variant == reference
+    assert np.array_equal(rebuilt.cov, ref_state.cov)
 
 
 def test_equivalent_construction_rejects_other_groupings():

@@ -5,7 +5,6 @@ import pytest
 
 from cvbound.factory import BoundStateSpec, smolin_cv_four
 from cvbound.protocols import (
-    MeasurementSpec,
     bell_measure,
     homodyne_condition,
     measure_with_feedforward,
@@ -23,17 +22,6 @@ from cvbound.states import (
 
 ALLOWED_PAIRS = [(0, 3), (1, 2), (0, 1), (2, 3)]
 FORBIDDEN_PAIRS = [(0, 2), (1, 3)]
-
-
-def test_measurement_spec_validation():
-    MeasurementSpec("homodyne_x", (0,))
-    MeasurementSpec("bell", (0, 1))
-    with pytest.raises(ValueError):
-        MeasurementSpec("homodyne_p", (0, 1))
-    with pytest.raises(ValueError):
-        MeasurementSpec("bell", (1, 1))
-    with pytest.raises(ValueError):
-        MeasurementSpec("heterodyne", (0,))
 
 
 def test_homodyne_on_product_state_leaves_rest_untouched():

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cvbound.factory import GROUP_12_34, GROUP_13_24, GROUP_14_23, BoundStateSpec, smolin_cv_four
+from cvbound.separability import named_bipartition
 from cvbound.stabilizer import (
+    Bipartition,
     Nullifier,
     Partition,
     PauliElement,
@@ -101,6 +103,27 @@ def test_partition_commutation_tables():
     assert np.abs(table).max() == 2.0
     with pytest.raises(ValueError):
         partition_commutation_table([], GROUP_12_34)
+
+
+def test_bipartition_is_the_two_party_partition():
+    gens = four_mode_generators()
+    for label, group in (("12-34", GROUP_12_34), ("14-23", GROUP_14_23), ("13-24", GROUP_13_24)):
+        bp = named_bipartition(label)
+        assert bp is group
+        assert isinstance(bp, Partition)
+        assert bp.subsets == (bp.side_a, bp.side_b)
+        assert bp.n_modes == 4
+    table = partition_commutation_table(gens, named_bipartition("13-24"))
+    assert np.array_equal(table, partition_commutation_table(gens, Partition(((0, 2), (1, 3)))))
+    assert np.abs(table).max() == 2.0
+    bp = Bipartition(range(3), (4, 3))
+    assert (bp.side_a, bp.side_b, bp.n_modes) == ((0, 1, 2), (3, 4), 5)
+    with pytest.raises(ValueError, match="disjoint"):
+        Bipartition((0, 1), (1, 2))
+    with pytest.raises(ValueError, match="nonempty"):
+        Bipartition((), (0, 1))
+    with pytest.raises(ValueError, match="cover"):
+        Bipartition((0,), (2,))
 
 
 def test_partition_validation():
