@@ -31,7 +31,7 @@ def main(argv=None) -> int:
         analytic = np.sqrt(np.sinh(2 * r) / 4)  # PPT transition in closed form
         rows.append((r, sigma_star, analytic, witness_floor))
 
-    print(f"{'r':>6}  {'sigma* (bisect)':>16}  {'sqrt(sinh2r/4)':>15}  {'witness floor':>14}")
+    print(f"{'r':>6}  {'sigma* (search)':>16}  {'sqrt(sinh2r/4)':>15}  {'witness floor':>14}")
     for r, sigma_star, analytic, floor in rows:
         star = f"{sigma_star:.6f}" if sigma_star is not None else "none"
         print(f"{r:6.3f}  {star:>16}  {analytic:15.6f}  {floor:14.6f}")

@@ -289,15 +289,18 @@ def equivalent_construction(
     """Rebuild the four-mode state from resources on a different mode pairing.
 
     Supported groupings (a :class:`Partition` or :class:`Bipartition`) are
-    {0,3 | 1,2} and {0,2 | 1,3}.  Whenever the returned variant reports
-    matched parameters, the rebuilt covariance matrix equals the one from
-    :func:`smolin_cv_four` elementwise to 1e-10; infeasibility is a value,
-    not an error.
+    {0,3 | 1,2} and {0,2 | 1,3}, with their subsets in either order.
+    Whenever the returned variant reports matched parameters, the rebuilt
+    covariance matrix equals the one from :func:`smolin_cv_four` elementwise
+    to 1e-10; infeasibility is a value, not an error.
     """
     if spec.n_pairs != 2:
         raise ValueError("equivalent constructions are defined for the four-mode state")
-    if grouping.subsets == GROUP_14_23.subsets:
+    # the recipes are symmetric in the parties, so the order of the subsets
+    # does not select one
+    parties = set(grouping.subsets)
+    if parties == set(GROUP_14_23.subsets):
         return _matched_regrouping(spec)
-    if grouping.subsets == GROUP_13_24.subsets:
+    if parties == set(GROUP_13_24.subsets):
         return _factorized_regrouping(spec)
     raise ValueError("unsupported grouping: expected {0,3 | 1,2} or {0,2 | 1,3}")

@@ -109,7 +109,7 @@ def test_sep_check_transition_is_the_closed_form(capsys):
     code, out, _ = run(capsys, "sep-check", "--r", "1", "--sigma", "1")
     assert code == 0
     assert "14-23 ppt transition sigma* = 0.952215890417;" in out
-    # beyond the sigma_max = 10 bracket of the bisection search
+    # beyond the sigma_max = 10 bracket of the threshold search
     code, out, _ = run(capsys, "sep-check", "--r", "3.5", "--sigma", "1", "--format", "json")
     assert json.loads(out)["ppt_transition_sigma_14_23"] == pytest.approx(np.sqrt(np.sinh(7.0) / 4), rel=1e-11)
     code, out, _ = run(capsys, "sep-check", "--r", "0", "--sigma", "1")
@@ -273,6 +273,24 @@ def test_non_finite_noise_strength_exits_2(capsys, argv, prefix, value):
         code, out, err = run(capsys, *argv, value)
     assert code == 2
     assert err == f"{prefix}noise strengths must be finite\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["sep-check", "--r", "12", "--sigma", "1"], id="sep-check"),
+        pytest.param(["sweep", "--grid-r", "12", "--grid-sigma", "1"], id="sweep"),
+    ],
+)
+def test_spectrum_rounded_to_zero_exits_2(capsys, argv):
+    # at r = 12 float64 rounds a partial-transpose eigenvalue to 0; the
+    # log-negativity would be inf and 12-34 would read "entangled"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: a partial-transpose symplectic eigenvalue rounded to 0")
     assert out == ""
 
 

@@ -16,6 +16,7 @@ from cvbound.factory import (
 )
 from cvbound.separability import named_bipartition, ppt_min_symplectic
 from cvbound.stabilizer import (
+    Bipartition,
     Partition,
     nullifier_variance,
     p_alternating_nullifier,
@@ -275,6 +276,21 @@ def test_equivalent_construction_accepts_partition_or_bipartition(grouping, expe
     assert variant.feasible
     assert variant == reference
     assert np.array_equal(rebuilt.cov, ref_state.cov)
+
+
+@pytest.mark.parametrize("expected", [GROUP_14_23, GROUP_13_24], ids=["14-23", "13-24"])
+def test_equivalent_construction_ignores_subset_order(expected):
+    spec = BoundStateSpec(2, 0.6, 1.1, 0.9)
+    side_a, side_b = expected.subsets
+    reference, ref_state = equivalent_construction(spec, expected)
+    for grouping in (Bipartition(side_b, side_a), Partition((side_b, side_a))):
+        variant, rebuilt = equivalent_construction(spec, grouping)
+        assert variant.feasible
+        assert variant == reference
+        assert np.array_equal(rebuilt.cov, ref_state.cov)
+        assert np.array_equal(rebuilt.mean, ref_state.mean)
+    # the stored order is untouched: side_b is still the side that gets flipped
+    assert Bipartition(side_b, side_a).side_b == side_a
 
 
 def test_equivalent_construction_rejects_other_groupings():

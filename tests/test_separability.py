@@ -1,6 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+from cvbound import separability
 from cvbound.factory import BoundStateSpec, smolin_cv_four
 from cvbound.separability import (
     Bipartition,
@@ -171,6 +175,77 @@ def test_threshold_closed_form_matches_bisection_oracle():
     assert ppt_threshold_sigma(3.5) > 10.0
     with pytest.raises(ValueError):
         ppt_threshold_sigma(-0.1)
+
+
+def _safeguard_bound(width, tol):
+    # the midpoint safeguard halves the bracket at least once every four steps
+    return 4 * math.ceil(math.log2(width / tol))
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+@pytest.mark.parametrize(
+    "gap, lo, hi, root, max_evals",
+    [
+        pytest.param(lambda x: x**3 - 2.0, 0.0, 10.0, 2.0 ** (1 / 3), 22, id="increasing"),
+        pytest.param(math.cos, 0.0, 3.0, math.pi / 2, 8, id="decreasing"),
+        pytest.param(lambda x: math.expm1(20.0 * (x - 7.3)), 0.0, 10.0, 7.3, 30, id="steep-exponential"),
+        # false position lands tol/2 from the low end on every step of this
+        # gap, and the Illinois halving needs ~1000 steps to undo the 1e300,
+        # so only the midpoint safeguard can meet the bound
+        pytest.param(lambda x: -1.0 if x < 2.5 else 1e300, 0.0, 10.0, 2.5, None, id="step"),
+    ],
+)
+def test_bracketed_root_on_synthetic_gaps(gap, lo, hi, root, max_evals, tol):
+    xs = []
+
+    def counted(x):
+        xs.append(x)
+        return gap(x)
+
+    lo_f, hi_f = separability._bracketed_root(counted, lo, hi, gap(lo), gap(hi), tol)
+    assert hi_f - lo_f <= tol
+    assert lo <= lo_f < hi_f <= hi
+    # the bracket still holds the sign change, with the sign of each end kept
+    assert (gap(lo_f) < 0) == (gap(lo) < 0) and (gap(hi_f) < 0) == (gap(hi) < 0)
+    assert lo_f - 1e-12 <= root <= hi_f + 1e-12
+    assert len(xs) <= (max_evals or _safeguard_bound(hi - lo, tol))
+
+
+THRESHOLD_GRID = np.linspace(0.005, 3.34, 30)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_threshold_search_meets_closed_form_in_few_evaluations(monkeypatch, tol):
+    # every gap evaluation goes through ppt_min_symplectic, so counting its
+    # calls counts the evaluations, end points included
+    calls = []
+    real = separability.ppt_min_symplectic
+
+    def counted(state, bp):
+        calls.append(bp)
+        return real(state, bp)
+
+    monkeypatch.setattr(separability, "ppt_min_symplectic", counted)
+    bp = named_bipartition("14-23")
+    for r in THRESHOLD_GRID:
+        calls.clear()
+        sigma_star = ppt_threshold_search(r, bp, tol=tol)
+        assert abs(sigma_star - ppt_threshold_sigma(r)) <= tol, r
+        assert len(calls) <= 16, (r, len(calls))
+
+
+def test_log_negativity_refuses_a_spectrum_rounded_to_zero():
+    # at r = 12 float64 rounds a partial-transpose eigenvalue of every cut to
+    # 0, although the state itself passes the physicality check
+    state = four_mode(12.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for label in ("12-34", "14-23", "13-24"):
+            bp = named_bipartition(label)
+            with pytest.raises(ValueError, match="rounded to 0"):
+                log_negativity(state, bp)
+            with pytest.raises(ValueError, match="rounded to 0"):
+                cut_diagnostics(state.cov[None], bp)
 
 
 def test_cut_diagnostics_equal_scalar_api(rng):
