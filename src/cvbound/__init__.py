@@ -27,16 +27,12 @@ from .stabilizer import (
     Bipartition,
     Nullifier,
     Partition,
-    PauliElement,
     commutes,
     is_complete_on,
     nullifier_variance,
-    p_alternating_generator,
     p_alternating_nullifier,
     partition_commutation_table,
-    restrict,
     symplectic_phase,
-    x_sum_generator,
     x_sum_nullifier,
 )
 from .factory import (

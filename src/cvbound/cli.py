@@ -73,9 +73,9 @@ def _spec_from_args(args) -> factory.BoundStateSpec:
         base["n_pairs"] = args.pairs
     if args.sigma is not None:
         base["sigma_x"] = base["sigma_p"] = args.sigma
-    if getattr(args, "sigma_x", None) is not None:
+    if args.sigma_x is not None:
         base["sigma_x"] = args.sigma_x
-    if getattr(args, "sigma_p", None) is not None:
+    if args.sigma_p is not None:
         base["sigma_p"] = args.sigma_p
     if args.r is not None:
         base["r"] = args.r
@@ -126,10 +126,9 @@ def cmd_nullifiers(args) -> int:
         "expected_variance": spec.n_pairs * float(np.exp(-2 * spec.r)),
     }
     if spec.n_pairs == 2:
-        gens = [stabilizer.x_sum_generator(4), stabilizer.p_alternating_generator(4)]
         tables = {}
         for label, part in separability.FOUR_MODE_BIPARTITIONS.items():
-            table = stabilizer.partition_commutation_table(gens, part)
+            table = stabilizer.partition_commutation_table([h1, h2], part)
             tables[label] = {
                 "all_local_commuting": stabilizer.all_local_commuting(table),
                 "table": table.tolist(),
@@ -299,7 +298,8 @@ def _validate_state_file(path: str, failures: list[str], lines: list[str]) -> in
         print(f"error: malformed state file: {exc}", file=sys.stderr)
         return 2
     asym = float(np.abs(cov - cov.T).max())
-    _check("cov-symmetry", asym <= 1e-10 * max(1.0, np.abs(cov).max()), f"max asymmetry {_fmt(asym)}", failures, lines)
+    scale = max(1.0, np.abs(cov).max())
+    _check("cov-symmetry", asym <= states.SYMMETRY_TOL * scale, f"max asymmetry {_fmt(asym)}", failures, lines)
     if not failures:
         try:
             nu_min = float(states.require_physical(cov))
@@ -343,15 +343,14 @@ def cmd_validate(args) -> int:
     ok = all(abs(v - expected) < 1e-10 for v in vals)
     _check("nullifier-variances", ok, f"all equal {_fmt(expected)} across sigma in {{0,1,10}}", failures, lines)
 
-    gens = [stabilizer.x_sum_generator(4), stabilizer.p_alternating_generator(4)]
-    t_12 = stabilizer.partition_commutation_table(gens, factory.GROUP_12_34)
-    t_14 = stabilizer.partition_commutation_table(gens, factory.GROUP_14_23)
-    t_13 = stabilizer.partition_commutation_table(gens, factory.GROUP_13_24)
+    tables = {
+        label: stabilizer.partition_commutation_table([h1, h2], part)
+        for label, part in separability.FOUR_MODE_BIPARTITIONS.items()
+    }
     ok = (
-        stabilizer.all_local_commuting(t_12)
-        and stabilizer.all_local_commuting(t_14)
-        and not stabilizer.all_local_commuting(t_13)
-        and float(np.abs(t_13).max()) == 2.0
+        stabilizer.all_local_commuting(tables["12-34"])
+        and stabilizer.all_local_commuting(tables["14-23"])
+        and float(np.abs(tables["13-24"]).max()) == 2.0
     )
     _check("commutation-tables", ok, "12-34 and 14-23 commute locally, 13-24 does not (|omega| = 2)", failures, lines)
 

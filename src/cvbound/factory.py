@@ -93,13 +93,16 @@ class BoundStateSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "BoundStateSpec":
         try:
+            n_pairs = data["n_pairs"]  # int() alone would truncate 2.9; the string "3" stands for 3
+            if not isinstance(n_pairs, str) and int(n_pairs) != n_pairs:
+                raise ValueError("n_pairs must be an integer >= 2")
             return cls(
-                n_pairs=int(data["n_pairs"]),
+                n_pairs=int(n_pairs),
                 r=float(data["r"]),
                 sigma_x=float(data["sigma_x"]),
                 sigma_p=float(data["sigma_p"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed state spec: {exc}") from exc
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factory import BoundStateSpec, smolin_cv_four
-from .separability import duan_value, duan_verdict
+from .separability import _duan_coeffs, duan_value, duan_verdict
 from .stabilizer import parity_sign
 from .states import GaussianState, quad_variance, symplectic_form, tensor
 
@@ -165,10 +165,7 @@ def _joint_readout(n_modes: int, pairs, target: int) -> tuple[list[np.ndarray], 
     """
     combos, corrections = [], []
     for i, j in pairs:
-        y1 = np.zeros(2 * n_modes)
-        y1[2 * i] = y1[2 * j] = 1.0
-        y2 = np.zeros(2 * n_modes)
-        y2[2 * i + 1], y2[2 * j + 1] = 1.0, -1.0
+        y1, y2 = _duan_coeffs(n_modes, i, j, +1)
         mixed = parity_sign(i) != parity_sign(j)
         p_gain = parity_sign(target) * parity_sign(i) if mixed else 1.0
         corrections += [(target, "x", 1.0, len(combos)), (target, "p", p_gain, len(combos) + 1)]
@@ -198,9 +195,8 @@ def bell_measure(state: GaussianState, i: int, j: int) -> GaussianState:
 
 
 def _pair_report(conditioned: GaussianState, survivors, params: dict) -> ProtocolReport:
-    wx = quad_variance(conditioned, np.array([1.0, 0.0, 1.0, 0.0]))
-    wp = quad_variance(conditioned, np.array([0.0, 1.0, 0.0, -1.0]))
-    duan_plus = duan_value(conditioned, 0, 1, +1)
+    wx, wp = (quad_variance(conditioned, c) for c in _duan_coeffs(2, 0, 1, +1))
+    duan_plus = wx + wp
     duan_minus = duan_value(conditioned, 0, 1, -1)
     duan = min(duan_plus, duan_minus)
     return ProtocolReport(

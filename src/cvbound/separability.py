@@ -187,6 +187,9 @@ def ppt_threshold_search(
         raise ValueError("tolerance must be positive")
     if sigma_max <= 0:
         raise ValueError("sigma_max must be positive")
+    floor = 2 * np.spacing(sigma_max)  # a narrower bracket may hold no float strictly inside
+    if tol < floor:
+        raise ValueError(f"tolerance must be at least twice the float spacing at sigma_max, {floor:.3g}")
 
     def gap(sigma: float) -> float:
         spec = BoundStateSpec(n_pairs=2, r=r, sigma_x=sigma, sigma_p=sigma)

@@ -1,12 +1,14 @@
-"""Nullifier and phase-space displacement (Pauli) algebra.
+"""Nullifier algebra: quadrature combinations and their commutation phases.
 
-A displacement element is indexed by real parameter vectors ``s`` and ``t``
-through ``U = exp(i * sum_k(-s_k p_k + t_k x_k))``.  Two elements commute up
-to the phase ``omega = sum_k (s'_k t_k - s_k t'_k)``; they commute as
-operators exactly when omega vanishes.  The Hermitian generator
-``H = sum_k (a_k x_k + b_k p_k)`` of such an element is called a nullifier of
-a state when the state has zero variance in it; at finite squeezing the
-canonical constructions drive these variances to zero exponentially instead.
+A quadrature combination ``H = sum_k (a_k x_k + b_k p_k)`` is stored as its
+interleaved coefficient vector ``(a_1, b_1, a_2, b_2, ...)``, the ordering of
+``quad_variance``, ``NoisePattern`` and the protocol readouts.  H generates
+the displacement ``exp(i H)``, and the displacements of two combinations with
+coefficient vectors u and v commute up to the phase ``omega = u^T Omega v``,
+Omega the symplectic form; they commute as operators exactly when omega
+vanishes.  H is called a nullifier of a state when the state has zero
+variance in it; at finite squeezing the canonical constructions drive these
+variances to zero exponentially instead.
 """
 
 from __future__ import annotations
@@ -15,18 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GaussianState, quad_variance
+from .states import GaussianState, quad_variance, symplectic_form
 
 RANK_TOL = 1e-9
 
 __all__ = [
-    "PauliElement",
     "Nullifier",
     "Partition",
     "Bipartition",
     "symplectic_phase",
     "commutes",
-    "restrict",
     "partition_commutation_table",
     "all_local_commuting",
     "nullifier_variance",
@@ -34,38 +34,7 @@ __all__ = [
     "x_sum_nullifier",
     "parity_sign",
     "p_alternating_nullifier",
-    "x_sum_generator",
-    "p_alternating_generator",
 ]
-
-
-@dataclass(frozen=True)
-class PauliElement:
-    """Displacement element with X-parameters ``s`` and Z-parameters ``t``."""
-
-    s: np.ndarray
-    t: np.ndarray
-
-    def __post_init__(self):
-        s = np.array(self.s, dtype=float)
-        t = np.array(self.t, dtype=float)
-        if s.ndim != 1 or s.shape != t.shape:
-            raise ValueError("s and t must be vectors of equal length")
-        s.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-
-    @property
-    def n_modes(self) -> int:
-        return self.s.shape[0]
-
-    def to_nullifier(self) -> "Nullifier":
-        """Generator H with x-coefficients t and p-coefficients -s."""
-        coeffs = np.empty(2 * self.n_modes)
-        coeffs[0::2] = self.t
-        coeffs[1::2] = -self.s
-        return Nullifier(coeffs)
 
 
 @dataclass(frozen=True)
@@ -86,9 +55,6 @@ class Nullifier:
     @property
     def n_modes(self) -> int:
         return self.coeffs.shape[0] // 2
-
-    def to_pauli(self) -> PauliElement:
-        return PauliElement(s=-self.coeffs[1::2], t=self.coeffs[0::2])
 
     def to_dict(self) -> dict:
         return {"ordering": "xp-interleaved", "coeffs": self.coeffs.tolist()}
@@ -131,48 +97,39 @@ class Bipartition(Partition):
         return self.subsets[1]
 
 
-def symplectic_phase(u: PauliElement, v: PauliElement) -> float:
-    """Commutation phase omega(u, v) = sum_k (v.s_k u.t_k - u.s_k v.t_k)."""
+def symplectic_phase(u: Nullifier, v: Nullifier) -> float:
+    """Commutation phase omega(u, v) = u.coeffs^T Omega v.coeffs."""
     if u.n_modes != v.n_modes:
         raise ValueError("elements act on different mode counts")
-    return float(v.s @ u.t - u.s @ v.t)
+    return float(u.coeffs @ symplectic_form(u.n_modes) @ v.coeffs)
 
 
-def commutes(u: PauliElement, v: PauliElement, tol: float = 1e-12) -> bool:
+def commutes(u: Nullifier, v: Nullifier, tol: float = 1e-12) -> bool:
     return abs(symplectic_phase(u, v)) <= tol
 
 
-def restrict(g: PauliElement, subset) -> PauliElement:
-    """Zero all displacement parameters outside ``subset``.
+def _local_phases(gens: list[Nullifier], subset) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient rows of ``gens`` zeroed outside the modes of ``subset``, and their omega matrix.
 
-    The restrictions over the subsets of any partition sum back to ``g``
-    componentwise.
+    A row may be all zero, which :class:`Nullifier` refuses, so the rows stay an array.
     """
-    subset = set(subset)
-    if not subset:
-        raise ValueError("subset must be nonempty")
-    mask = np.zeros(g.n_modes)
-    for m in subset:
-        mask[m] = 1.0
-    return PauliElement(s=g.s * mask, t=g.t * mask)
+    n = gens[0].n_modes
+    if any(g.n_modes != n for g in gens):
+        raise ValueError("elements act on different mode counts")
+    local = np.array([g.coeffs for g in gens]) * np.repeat(np.isin(np.arange(n), list(subset)), 2)
+    return local, local @ symplectic_form(n) @ local.T
 
 
-def partition_commutation_table(gens: list[PauliElement], part: Partition) -> np.ndarray:
+def partition_commutation_table(gens: list[Nullifier], part: Partition) -> np.ndarray:
     """omega values between local restrictions, one k x k table per subset.
 
     Returns an array of shape (len(part.subsets), k, k); entry [a, i, j] is
-    omega of generators i and j restricted to subset a.
+    omega of generators i and j with their coefficients zeroed outside
+    subset a.
     """
     if not gens:
         raise ValueError("need at least one generator")
-    k = len(gens)
-    table = np.zeros((len(part.subsets), k, k))
-    for a, sub in enumerate(part.subsets):
-        local = [restrict(g, sub) for g in gens]
-        for i in range(k):
-            for j in range(k):
-                table[a, i, j] = symplectic_phase(local[i], local[j])
-    return table
+    return np.array([_local_phases(gens, sub)[1] for sub in part.subsets])
 
 
 def all_local_commuting(table: np.ndarray, tol: float = 1e-12) -> bool:
@@ -187,7 +144,7 @@ def nullifier_variance(state: GaussianState, h: Nullifier) -> float:
     return quad_variance(state, h.coeffs)
 
 
-def is_complete_on(gens: list[PauliElement], subset, tol: float = RANK_TOL) -> bool:
+def is_complete_on(gens: list[Nullifier], subset, tol: float = RANK_TOL) -> bool:
     """Do the restricted generators form a complete commuting set on ``subset``?
 
     True when the restrictions span an isotropic subspace of dimension equal
@@ -202,13 +159,10 @@ def is_complete_on(gens: list[PauliElement], subset, tol: float = RANK_TOL) -> b
         raise ValueError("subset must be nonempty")
     if not gens:
         return False
-    local = [restrict(g, subset) for g in gens]
-    for i in range(len(local)):
-        for j in range(i + 1, len(local)):
-            if abs(symplectic_phase(local[i], local[j])) > tol:
-                return False
-    rows = np.array([np.concatenate([g.s, g.t]) for g in local])
-    svals = np.linalg.svd(rows, compute_uv=False)
+    local, phases = _local_phases(gens, subset)
+    if (np.abs(np.triu(phases, 1)) > tol).any():
+        return False
+    svals = np.linalg.svd(local, compute_uv=False)
     if svals[0] == 0.0:
         return False
     rank = int(np.sum(svals > tol * svals[0]))
@@ -217,9 +171,7 @@ def is_complete_on(gens: list[PauliElement], subset, tol: float = RANK_TOL) -> b
 
 def x_sum_nullifier(n_modes: int) -> Nullifier:
     """x_1 + x_2 + ... + x_n, the position-sum generator."""
-    coeffs = np.zeros(2 * n_modes)
-    coeffs[0::2] = 1.0
-    return Nullifier(coeffs)
+    return Nullifier(np.tile([1.0, 0.0], n_modes))
 
 
 def parity_sign(m: int) -> float:
@@ -229,16 +181,5 @@ def parity_sign(m: int) -> float:
 
 def p_alternating_nullifier(n_modes: int) -> Nullifier:
     """p_1 - p_2 + p_3 - ..., the alternating momentum generator."""
-    coeffs = np.zeros(2 * n_modes)
-    coeffs[1::2] = [parity_sign(m) for m in range(n_modes)]
-    return Nullifier(coeffs)
+    return Nullifier(np.ravel([(0.0, parity_sign(m)) for m in range(n_modes)]))
 
-
-def x_sum_generator(n_modes: int) -> PauliElement:
-    """Displacement element of the position-sum nullifier (t = 1, s = 0)."""
-    return PauliElement(s=np.zeros(n_modes), t=np.ones(n_modes))
-
-
-def p_alternating_generator(n_modes: int) -> PauliElement:
-    """Displacement element with alternating X-parameters s = (1, -1, 1, ...)."""
-    return PauliElement(s=np.array([parity_sign(m) for m in range(n_modes)]), t=np.zeros(n_modes))

@@ -27,11 +27,9 @@ from cvbound.separability import (
 from cvbound.stabilizer import (
     all_local_commuting,
     nullifier_variance,
-    p_alternating_generator,
     p_alternating_nullifier,
     partition_commutation_table,
     symplectic_phase,
-    x_sum_generator,
     x_sum_nullifier,
 )
 from cvbound.states import NoisePattern, add_classical_noise, epr_pair, sample_oracle, tensor
@@ -64,7 +62,7 @@ def test_criterion_1_nullifier_variances():
 
 def test_criterion_2_commutation_structure():
     with criterion(2, "global generators commute; only the 13-24 grouping fails locally", 1.0):
-        gens = [x_sum_generator(4), p_alternating_generator(4)]
+        gens = [x_sum_nullifier(4), p_alternating_nullifier(4)]
         assert symplectic_phase(gens[0], gens[1]) == 0.0
         assert all_local_commuting(partition_commutation_table(gens, GROUP_12_34))
         assert all_local_commuting(partition_commutation_table(gens, GROUP_14_23))

@@ -79,6 +79,29 @@ def test_nullifiers_report(capsys):
     assert tables["12-34"]["all_local_commuting"] is True
     assert tables["14-23"]["all_local_commuting"] is True
     assert tables["13-24"]["all_local_commuting"] is False
+    # the signed tables, [party][i][j] for (x-sum, alternating p)
+    zeros = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    assert tables["12-34"]["table"] == zeros
+    assert tables["14-23"]["table"] == zeros
+    assert tables["13-24"]["table"] == [[[0.0, 2.0], [-2.0, 0.0]], [[0.0, -2.0], [2.0, 0.0]]]
+
+
+def test_fractional_n_pairs_in_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(json.dumps({"n_pairs": 2.9, "r": 1.0, "sigma_x": 1.0, "sigma_p": 1.0}))
+    code, out, err = run(capsys, "nullifiers", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: malformed state spec: n_pairs must be an integer >= 2\n"
+    # json writes the float as Infinity, and int() of it raises OverflowError
+    cfg.write_text(json.dumps({"n_pairs": float("inf"), "r": 1.0, "sigma_x": 1.0, "sigma_p": 1.0}))
+    code, out, err = run(capsys, "nullifiers", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed state spec: ")
+    for n_pairs in (3, 3.0):
+        cfg.write_text(json.dumps({"n_pairs": n_pairs, "r": 1.0, "sigma_x": 1.0, "sigma_p": 1.0}))
+        code, out, _ = run(capsys, "nullifiers", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["n_modes"] == 6
 
 
 def test_sep_check_verdicts(capsys):

@@ -234,6 +234,17 @@ def test_threshold_search_meets_closed_form_in_few_evaluations(monkeypatch, tol)
         assert len(calls) <= 16, (r, len(calls))
 
 
+def test_threshold_search_refuses_a_tol_below_float_spacing():
+    # np.spacing(10.0) is 1.78e-15: below two spacings no float lies strictly
+    # inside the last bracket, and the search used to run forever
+    bp = named_bipartition("14-23")
+    for tol in (1e-15, 1e-17):
+        with pytest.raises(ValueError, match="float spacing"):
+            ppt_threshold_search(1.0, bp, tol=tol)
+    sigma_star = ppt_threshold_search(1.0, bp, tol=4e-15)
+    assert abs(sigma_star - ppt_threshold_sigma(1.0)) <= 4e-15
+
+
 def test_log_negativity_refuses_a_spectrum_rounded_to_zero():
     # at r = 12 float64 rounds a partial-transpose eigenvalue of every cut to
     # 0, although the state itself passes the physicality check
