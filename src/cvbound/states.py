@@ -82,12 +82,33 @@ def _matrix_max(a: np.ndarray) -> np.ndarray:
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Williamson spectrum of a covariance matrix, sorted ascending.
 
-    With ``cov = L L^T``, the Hermitian matrix ``i L^T Omega L`` has the
-    eigenvalues ``+/- nu_k``; the upper half of its spectrum is returned.
-    ``L`` is the Cholesky factor.  When Cholesky fails on a matrix that
-    passes the positive-definiteness check (float64 cannot resolve the
-    smallest eigenvalue of a strongly squeezed state), the eigen-decomposition
-    root ``V sqrt(max(w, 0))`` takes its place.
+    Two kernels compute it, chosen per matrix.
+
+    *Block kernel*, for a matrix whose x-p and p-x blocks (``cov[..., 0::2,
+    1::2]`` and ``cov[..., 1::2, 0::2]``) are exactly zero, as they are for
+    every state this package builds, partially transposes or conditions.  In
+    the ordering (x_1..x_n, p_1..p_n) such a matrix is ``diag(X, P)`` and
+    ``i Omega cov`` has the eigenvalues ``+/- sqrt(eig(X P))``.  With the
+    Cholesky factors ``X = Lx Lx^T`` and ``P = Lp Lp^T``,
+    ``eig(X P) = eig(Lp^T Lx Lx^T Lp)`` are the squared singular values of
+    ``Lx^T Lp``, so ``nu = sigma(Lx^T Lp)``: an n x n real SVD in place of a
+    2n x 2n complex Hermitian eigenproblem.  The SVD gives nu directly; the
+    equivalent ``eigvalsh(Lx^T P Lx)`` gives nu**2 with an absolute error
+    of order ``eps * nu_max**2``, which swamps the smallest (a relative
+    error of 4e-6 on the 13-24 ``nu_min`` at r = 3, sigma = 1, against
+    5.5e-12 through the SVD).
+
+    *Hermitian kernel*, for every other matrix.  With ``cov = L L^T``, the
+    Hermitian matrix ``i L^T Omega L`` has the eigenvalues ``+/- nu_k``; the
+    upper half of its spectrum is returned.
+
+    ``L`` (or ``Lx``, ``Lp``) is the Cholesky factor.  When Cholesky fails on
+    a matrix that passes the positive-definiteness check (float64 cannot
+    resolve the smallest eigenvalue of a strongly squeezed state), the
+    eigen-decomposition root ``V sqrt(max(w, 0))`` takes its place.  The
+    eigenvalues of ``diag(X, P)`` are those of X together with those of P,
+    so checking the two blocks against the full matrix's scale is the same
+    rule as checking the full matrix.
 
     ``cov`` may also be a stack of shape (..., 2n, 2n); the result then has
     shape (..., n), every matrix is checked on its own, and each spectrum is
@@ -106,9 +127,38 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     scale = np.maximum(1.0, peak)
     if (_matrix_max(np.abs(cov - np.swapaxes(cov, -1, -2))) > SYMMETRY_TOL * scale).any():
         raise ValueError("covariance matrix must be symmetric")
+    n = cov.shape[-1] // 2
+    lead = cov.shape[:-2]
+    k = len(lead)
+    # the quadrature blocks [xx, xp, px, pp] of each matrix, shape (..., 4, n, n)
+    quads = cov.reshape(lead + (n, 2, n, 2)).transpose(*range(k), k + 1, k + 3, k, k + 2)
+    quads = quads.reshape(lead + (4, n, n))
+    cross = quads[..., 1:3, :, :]
+    if not cross.any():
+        return _block_spectrum(quads[..., ::3, :, :], scale)
+    blockwise = ~cross.reshape(lead + (-1,)).any(axis=-1)
+    if not blockwise.any():
+        return _hermitian_spectrum(cov, scale)
+    out = np.empty(lead + (n,))
+    out[blockwise] = _block_spectrum(quads[blockwise][:, ::3], scale[blockwise])
+    out[~blockwise] = _hermitian_spectrum(cov[~blockwise], scale[~blockwise])
+    return out
+
+
+def _block_spectrum(blocks: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Singular values of ``Lx^T Lp``, ascending, from the (..., 2, n, n) stack of X and P blocks."""
+    try:
+        roots = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        roots = _roots_with_fallback(blocks, np.broadcast_to(scale[..., None], blocks.shape[:-2]))
+    return np.linalg.svd(roots[..., 0, :, :].swapaxes(-1, -2) @ roots[..., 1, :, :], compute_uv=False)[..., ::-1]
+
+
+def _hermitian_spectrum(cov: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Upper half of the spectrum of ``i L^T Omega L``, for any positive-definite matrices."""
     try:
         # succeeds only on numerically positive-definite input, which the
-        # scale-relative check below would accept
+        # scale-relative check in the fallback would accept
         root = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         root = _roots_with_fallback(cov, scale)

@@ -400,15 +400,16 @@ def test_validate_good_state_file(tmp_path, capsys):
 
 
 def test_validate_accepts_strongly_squeezed_built_state(tmp_path, capsys):
-    # nu_min of this file is 0.4999997: inside the scale-relative physicality
-    # tolerance that GaussianState and sep-check --state apply
+    # nu_min of this file is 1/2 exactly; float64 gives 0.4999998, inside the
+    # scale-relative physicality tolerance that GaussianState and
+    # sep-check --state apply
     path = tmp_path / "r6.json"
     run(capsys, "build", "--r", "6", "--sigma", "1", "--out", str(path))
     code, out, _ = run(capsys, "sep-check", "--state", str(path))
     assert code == 0
     code, out, _ = run(capsys, "validate", "--state", str(path))
     assert code == 0
-    assert out.splitlines()[1].startswith("[PASS] physicality: min symplectic eigenvalue 0.4999997")
+    assert out.splitlines()[1].startswith("[PASS] physicality: min symplectic eigenvalue 0.4999998")
 
 
 def test_cli_import_loads_neither_scipy_nor_multiprocessing():
@@ -418,3 +419,32 @@ def test_cli_import_loads_neither_scipy_nor_multiprocessing():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def _in_process(capsys, *argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse exits on a bad argument
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
+    # main reuses one parser per process; repeated and failed parses must not
+    # leak into the next call
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to the terminal width
+    src = os.path.dirname(os.path.dirname(cvbound.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    calls = [
+        ("sweep", "--grid-r", "0.5:1:0.5", "--grid-sigma", "0:1:1", "--bipartition", "13-24"),
+        ("nullifiers", "--pairs", "3", "--r", "0.7"),
+        ("sweep", "--grid-r", "1", "--grid-sigma", "0:1:-1"),
+        ("unlock", "--pair", "2,2"),
+    ]
+    in_process = [_in_process(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 2]
+    for argv, got in zip(calls, in_process):
+        # bytes, so that the CSV's \r\n line ends are compared as written
+        proc = subprocess.run([sys.executable, "-m", "cvbound.cli", *argv], env=env, capture_output=True, timeout=60)
+        assert got == (proc.returncode, proc.stdout.decode(), proc.stderr.decode())

@@ -29,6 +29,9 @@ from cvbound.states import (
     vacuum_state,
 )
 
+from cvbound.factory import BoundStateSpec, smolin_cv_four
+from cvbound.separability import named_bipartition
+
 from conftest import brute_variance, two_mode_symplectic_eigs
 
 
@@ -322,9 +325,26 @@ def _random_covs(rng, count, n_modes):
     return a @ np.swapaxes(a, -1, -2) + VACUUM_VAR * np.eye(2 * n_modes)
 
 
-@pytest.mark.parametrize("n_modes", [4, 8])
-def test_stacked_spectra_equal_per_matrix_loop(rng, n_modes):
-    covs = _random_covs(rng, 13, n_modes)
+def _random_uncorrelated_covs(rng, count, n_modes):
+    # diag(B B^T, B^-T B^-1)/2 is a pure state (B invertible), and x-only plus
+    # p-only noise keeps it physical; neither has x-p correlations
+    out = np.zeros((count, 2 * n_modes, 2 * n_modes))
+    for cov in out:
+        q, _ = np.linalg.qr(rng.standard_normal((n_modes, n_modes)))
+        b = q * rng.uniform(0.5, 2.0, n_modes)
+        nx, np_ = 0.3 * rng.standard_normal((2, n_modes, n_modes))
+        cov[0::2, 0::2] = b @ b.T / 2 + nx @ nx.T
+        cov[1::2, 1::2] = np.linalg.inv(b @ b.T) / 2 + np_ @ np_.T
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_modes, make",
+    [(4, _random_covs), (8, _random_covs), (4, _random_uncorrelated_covs), (8, _random_uncorrelated_covs)],
+    ids=["4", "8", "uncorrelated-4", "uncorrelated-8"],
+)
+def test_stacked_spectra_equal_per_matrix_loop(rng, n_modes, make):
+    covs = make(rng, 13, n_modes)
     loop = np.array([symplectic_eigenvalues(c) for c in covs])
     assert np.array_equal(symplectic_eigenvalues(covs), loop)
     grid = covs[:12].reshape(3, 4, 2 * n_modes, 2 * n_modes)
@@ -368,3 +388,67 @@ def test_non_finite_covariance_rejected(rng, bad):
         assert _error_text(moments_from_dict, data) == "state object has non-finite entries in cov"
         data = {"n_modes": 2, "mean": [0.0, bad, 0.0, 0.0], "cov": np.eye(4).tolist()}
         assert _error_text(moments_from_dict, data) == "state object has non-finite entries in mean"
+
+
+def _hermitian_oracle(cov):
+    # i R^T Omega R has eigenvalues +/- nu for any root R R^T = cov
+    w, v = np.linalg.eigh(cov)
+    root, n = v * np.sqrt(np.clip(w, 0.0, None)), len(cov) // 2
+    return np.linalg.eigvalsh(1j * root.T @ symplectic_form(n) @ root)[n:]
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5, 6, 7, 8, 64])
+def test_block_kernel_matches_hermitian_oracle(rng, n_modes):
+    covs = _random_uncorrelated_covs(rng, 4, n_modes)
+    if n_modes > 1:
+        covs = np.concatenate([covs, partial_transpose(covs, range(n_modes // 2))])
+    oracle = np.array([_hermitian_oracle(c) for c in covs])
+    np.testing.assert_allclose(symplectic_eigenvalues(covs), oracle, rtol=1e-12, atol=0)
+    grid = covs.reshape(2, -1, 2 * n_modes, 2 * n_modes)
+    np.testing.assert_allclose(symplectic_eigenvalues(grid), oracle.reshape(2, -1, n_modes), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 3.0])
+def test_block_kernel_four_mode_closed_forms(r, sigma):
+    # squared partial-transpose spectra eig(X T P T) of the four-mode family,
+    # with E = e^{2r} and a = sigma^2
+    e, a = np.exp(2 * r), sigma**2
+    exact = {
+        "12-34": [0.25, 0.25, 0.25 + 2 * a * e, 0.25 + 2 * a * e],
+        "14-23": [e**2 / 4, e**2 / 4, (1 + 8 * a * e) / (4 * e**2), (1 + 8 * a * e) / (4 * e**2)],
+        "13-24": [1 / (4 * e**2), e**2 / 4, e**2 / 4, (1 + 8 * a * e) ** 2 / (4 * e**2)],
+    }
+    cov = smolin_cv_four(BoundStateSpec(2, r, sigma, sigma)).cov
+    for label, nu_sq in exact.items():
+        nu = symplectic_eigenvalues(partial_transpose(cov, named_bipartition(label).side_b))
+        np.testing.assert_allclose(nu, np.sort(np.sqrt(nu_sq)), rtol=1e-10, atol=0)
+
+
+def test_mixed_stack_dispatches_per_matrix(rng):
+    covs = _random_uncorrelated_covs(rng, 5, 3)
+    covs[1] = apply_symplectic(GaussianState(np.zeros(6), covs[1]), rotation(2, 0.4, 3)).cov
+    covs[3, 3, 2] = 1e-12  # the only nonzero entry of a cross block, within the symmetry tolerance
+    assert np.any(covs[1, 0::2, 1::2]) and not np.any(covs[3, 0::2, 1::2])
+    loop = np.array([symplectic_eigenvalues(c) for c in covs])
+    assert np.array_equal(symplectic_eigenvalues(covs), loop)
+    for cov, nu in zip(covs, loop):
+        np.testing.assert_allclose(nu, _hermitian_oracle(cov), rtol=1e-12, atol=0)
+
+
+def test_block_kernel_rejects_indefinite_p_block(rng):
+    covs = _random_uncorrelated_covs(rng, 3, 4)
+    p = covs[1, 1::2, 1::2]
+    covs[1, 1::2, 1::2] = p - (np.linalg.eigvalsh(p)[0] + 0.1) * np.eye(4)
+    message = _error_text(symplectic_eigenvalues, covs[1])
+    assert message == "covariance matrix must be positive definite"
+    assert _error_text(symplectic_eigenvalues, covs) == message
+
+
+def test_block_kernel_fallback_on_strongly_squeezed_pair():
+    cov = epr_pair(20.0).cov
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov[0::2, 0::2])
+    nu = symplectic_eigenvalues(cov)
+    expected = _hermitian_oracle(cov)
+    np.testing.assert_allclose(nu, expected, rtol=1e-12, atol=1e-12 * expected.max())
