@@ -34,12 +34,13 @@ resources placed on a different pairing of the four modes:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .stabilizer import Bipartition, Partition, parity_sign
-from .states import MAX_SQUEEZING, GaussianState, NoisePattern, beamsplitter
+from .states import MAX_SQUEEZING, GaussianState, beamsplitter
 
 GROUP_12_34 = Bipartition((0, 1), (2, 3))
 GROUP_14_23 = Bipartition((0, 3), (1, 2))
@@ -55,7 +56,6 @@ __all__ = [
     "smolin_cv_2n",
     "smolin_cv_covariances",
     "equivalent_construction",
-    "chain_noise_patterns",
 ]
 
 
@@ -69,13 +69,14 @@ class BoundStateSpec:
     sigma_p: float = 1.0
 
     def __post_init__(self):
-        if int(self.n_pairs) != self.n_pairs or self.n_pairs < 2:
+        if not float(self.n_pairs).is_integer() or int(self.n_pairs) != self.n_pairs or self.n_pairs < 2:
             raise ValueError("n_pairs must be an integer >= 2")
+        object.__setattr__(self, "n_pairs", int(self.n_pairs))  # 2.0 becomes 2, as range() needs
         if not 0.0 <= self.r <= MAX_SQUEEZING:
             raise ValueError(f"squeezing parameter must lie in [0, {MAX_SQUEEZING:g}]")
         if self.sigma_x < 0 or self.sigma_p < 0:
             raise ValueError("noise strengths must be nonnegative")
-        if not (np.isfinite(self.sigma_x) and np.isfinite(self.sigma_p)):
+        if not (self.sigma_x < np.inf and self.sigma_p < np.inf):  # NaN compares False too
             raise ValueError("noise strengths must be finite")
 
     @property
@@ -132,39 +133,27 @@ class ConstructionVariant:
     note: str = ""
 
 
-def _chain_patterns(pairs, n_modes: int) -> list[np.ndarray]:
-    """Pattern vectors of :func:`chain_noise_patterns`, in its order."""
-    patterns = []
-    for k in range(len(pairs) - 1):
-        xpat = np.zeros(2 * n_modes)
-        ppat = np.zeros(2 * n_modes)
-        for m in pairs[k]:
-            xpat[2 * m] = 1.0
-            ppat[2 * m + 1] = -parity_sign(m)
-        for m in pairs[k + 1]:
-            xpat[2 * m] = -1.0
-            ppat[2 * m + 1] = +parity_sign(m)
-        patterns += [xpat, ppat]
-    return patterns
+@functools.cache
+def _chain_supports(pairs: tuple, n_modes: int) -> tuple:
+    """Read-only supports of the pair chain, x then p per link, built once per chain.
 
-
-def chain_noise_patterns(pairs, sigma_x: float, sigma_p: float, n_modes: int) -> list[NoisePattern]:
-    """Nearest-neighbour pair-chain displacement patterns.
-
-    Pattern k puts x-signs +1 on the modes of pairs[k] and -1 on pairs[k+1];
-    its p-companion puts -eps_m on pairs[k] and +eps_m on pairs[k+1], where
-    eps_m is the alternating-nullifier sign of mode m.  Every pattern is
-    orthogonal to both global nullifiers, so the nullifier variances never
-    depend on the noise strengths.
+    Link k puts x-signs +1 on pairs[k] and -1 on pairs[k+1], and its p-pattern
+    puts -sign * eps_m on p_m, eps_m the nullifier sign.  Each pattern p is given
+    by the flat row-major positions of supp(p) x supp(p) and p_i p_j there.
     """
-    patterns = _chain_patterns(pairs, n_modes)
-    strengths = [sigma_x, sigma_p] * (len(patterns) // 2)
-    return [NoisePattern(p, sigma) for p, sigma in zip(patterns, strengths)]
+    supports = []
+    for a, b in zip(pairs, pairs[1:]):
+        modes, signs = np.array(a + b), np.array([1.0] * len(a) + [-1.0] * len(b))
+        for idx, pattern in ((2 * modes, signs), (2 * modes + 1, -signs * [parity_sign(m) for m in a + b])):
+            entries, products = (idx[:, None] * 2 * n_modes + idx).ravel(), np.outer(pattern, pattern).ravel()
+            entries.flags.writeable = products.flags.writeable = False
+            supports.append((entries, products))
+    return tuple(supports)
 
 
 def _epr_pairs_cov(r, pairs, n_modes: int) -> np.ndarray:
     """Squeezed pairs (the :func:`epr_pair` block) on ``pairs``, stacked over the shape of ``r``."""
-    r = np.asarray(r, dtype=float)
+    r = np.asarray(r, dtype=float) + 0.0  # r = -0.0 becomes +0.0 (see _add_noise)
     c, s = np.cosh(2 * r) / 2, np.sinh(2 * r) / 2
     cov = np.zeros(r.shape + (2 * n_modes, 2 * n_modes))
     for a, b in pairs:
@@ -183,11 +172,18 @@ def _squares(sigma) -> np.ndarray:
     return np.reshape([v**2 for v in sigma.ravel().tolist()], sigma.shape)
 
 
-def _add_noise(cov: np.ndarray, patterns, strengths) -> np.ndarray:
-    """Add sigma^2 p p^T for each pattern in order, broadcast over the shape of each sigma."""
-    for pattern, sigma in zip(patterns, strengths):
-        cov = cov + _squares(sigma)[..., None, None] * np.outer(pattern, pattern)
-    return cov
+def _add_noise(cov: np.ndarray, supports, squares) -> np.ndarray:
+    """Add sigma^2 p p^T per pattern in order, only on its support; ``squares`` from :func:`_squares`.
+
+    This gives the bits of the dense term: off the support it is +-0.0, which
+    changes no entry but -0.0 (-0.0 + 0.0 = +0.0).  The only -0.0 entries are
+    the -s x-x pair entries at r = 0 (r = -0.0 would put them on p-p too), and
+    each lies on an x-pattern's support, where it gets sigma^2 >= +0.0 as well.
+    """
+    flat = cov.reshape(cov.shape[:-2] + (-1,))
+    for (entries, products), square in zip(supports, squares):
+        flat[..., entries] += square[..., None] * products
+    return flat.reshape(cov.shape)
 
 
 def smolin_cv_covariances(n_pairs: int, r, sigma_x, sigma_p) -> np.ndarray:
@@ -196,16 +192,17 @@ def smolin_cv_covariances(n_pairs: int, r, sigma_x, sigma_p) -> np.ndarray:
     ``r``, ``sigma_x`` and ``sigma_p`` are scalars or arrays broadcast to a
     common shape S; the result has shape S + (4 n_pairs, 4 n_pairs), and each
     matrix is bit-identical to the ``cov`` of ``smolin_cv_2n`` at those
-    parameters.  Nothing is validated: check the parameters with
-    :class:`BoundStateSpec` and the result with :func:`states.require_physical`.
+    parameters: each chain term is added on its 4 x 4 support only, with the
+    dense term's bits (:func:`_add_noise`).  Nothing is validated: check the
+    parameters with :class:`BoundStateSpec` and the result with
+    :func:`states.require_physical`.
     """
     r, sigma_x, sigma_p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (r, sigma_x, sigma_p)))
-    n_modes = 2 * n_pairs
-    pairs = [(2 * k, 2 * k + 1) for k in range(n_pairs)]
     # EPR blocks first, then sigma^2 p p^T per chain pattern: the order of the
     # floating-point additions fixes every bit of the result
-    cov = _epr_pairs_cov(r, pairs, n_modes)
-    return _add_noise(cov, _chain_patterns(pairs, n_modes), [sigma_x, sigma_p] * (n_pairs - 1))
+    pairs = tuple((2 * k, 2 * k + 1) for k in range(n_pairs))
+    squares = [_squares(sigma_x), _squares(sigma_p)] * (n_pairs - 1)
+    return _add_noise(_epr_pairs_cov(r, pairs, 2 * n_pairs), _chain_supports(pairs, 2 * n_pairs), squares)
 
 
 def smolin_cv_four(spec: BoundStateSpec) -> GaussianState:
@@ -241,11 +238,11 @@ def _matched_regrouping(spec: BoundStateSpec) -> tuple[ConstructionVariant, Gaus
             f"= {base_sq:.12g}"
         )
         return ConstructionVariant(GROUP_14_23, feasible=False, note=note), None
-    grouping_pairs = GROUP_14_23.subsets
-    original_pairs = GROUP_12_34.subsets
+    pairs = GROUP_14_23.subsets
     base = np.sqrt(base_sq)
-    cov = _add_noise(_epr_pairs_cov(spec.r, grouping_pairs, 4), _chain_patterns(grouping_pairs, 4), [base, base])
-    cov = _add_noise(cov, _chain_patterns(original_pairs, 4), [np.sqrt(res_x_sq), np.sqrt(res_p_sq)])
+    cov = _add_noise(_epr_pairs_cov(spec.r, pairs, 4), _chain_supports(pairs, 4), [_squares(base)] * 2)
+    residuals = [_squares(np.sqrt(res_x_sq)), _squares(np.sqrt(res_p_sq))]
+    cov = _add_noise(cov, _chain_supports(GROUP_12_34.subsets, 4), residuals)
     variant = ConstructionVariant(
         GROUP_14_23,
         feasible=True,
@@ -264,11 +261,9 @@ def _factorized_regrouping(spec: BoundStateSpec) -> tuple[ConstructionVariant, G
     # into a product of a noise-free squeezed pair (slots 0,1) and a pair
     # carrying doubled-variance displacement noise (slots 2,3)
     slots = _epr_pairs_cov(spec.r, [(0, 1), (2, 3)], 4)
-    slots[4:, 4:] = _add_noise(
-        slots[4:, 4:],
-        [np.array([1, 0, 1, 0], dtype=float), np.array([0, 1, 0, -1], dtype=float)],
-        [np.sqrt(2) * spec.sigma_x, np.sqrt(2) * spec.sigma_p],
-    )
+    noise = [_squares(np.sqrt(2) * sigma) for sigma in (spec.sigma_x, spec.sigma_p)]
+    # a chain link to no pair: x-signs +1 on both modes of the noisy pair
+    slots = _add_noise(slots, _chain_supports(((2, 3), ()), 4), noise)
     unmix = (beamsplitter(0, 2, -np.pi / 4, 4) @ beamsplitter(1, 3, -np.pi / 4, 4)).matrix
     variant = ConstructionVariant(
         GROUP_13_24,

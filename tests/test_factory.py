@@ -8,7 +8,6 @@ from cvbound.factory import (
     GROUP_13_24,
     GROUP_14_23,
     BoundStateSpec,
-    chain_noise_patterns,
     equivalent_construction,
     smolin_cv_2n,
     smolin_cv_covariances,
@@ -20,14 +19,64 @@ from cvbound.stabilizer import (
     Partition,
     nullifier_variance,
     p_alternating_nullifier,
+    parity_sign,
     x_sum_nullifier,
 )
-from cvbound.states import add_classical_noise, epr_pair, sample_oracle, symplectic_eigenvalues, tensor
+from cvbound.states import (
+    GaussianState,
+    NoisePattern,
+    add_classical_noise,
+    beamsplitter,
+    epr_pair,
+    sample_oracle,
+    symplectic_eigenvalues,
+    tensor,
+)
+
+
+def chain_noise_patterns(pairs, sigma_x: float, sigma_p: float, n_modes: int) -> list[NoisePattern]:
+    """Dense nearest-neighbour pair-chain patterns, the oracle for the builder's supports.
+
+    Pattern k puts x-signs +1 on the modes of pairs[k] and -1 on pairs[k+1];
+    its p-companion puts -eps_m on pairs[k] and +eps_m on pairs[k+1], where
+    eps_m is the alternating-nullifier sign of mode m.
+    """
+    patterns = []
+    for k in range(len(pairs) - 1):
+        xpat = np.zeros(2 * n_modes)
+        ppat = np.zeros(2 * n_modes)
+        for m in pairs[k]:
+            xpat[2 * m] = 1.0
+            ppat[2 * m + 1] = -parity_sign(m)
+        for m in pairs[k + 1]:
+            xpat[2 * m] = -1.0
+            ppat[2 * m + 1] = +parity_sign(m)
+        patterns += [NoisePattern(xpat, sigma_x), NoisePattern(ppat, sigma_p)]
+    return patterns
+
+
+def dense_chain_cov(spec: BoundStateSpec) -> np.ndarray:
+    """``tensor(epr_pair)`` over the pairs, then ``add_classical_noise`` per chain pattern."""
+    state = epr_pair(spec.r)
+    for _ in range(spec.n_pairs - 1):
+        state = tensor(state, epr_pair(spec.r))
+    pairs = [(2 * k, 2 * k + 1) for k in range(spec.n_pairs)]
+    for noise in chain_noise_patterns(pairs, spec.sigma_x, spec.sigma_p, spec.n_modes):
+        state = add_classical_noise(state, noise)
+    return state.cov
+
+
+def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal values and equal sign bits, so +0.0 and -0.0 differ."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         BoundStateSpec(n_pairs=1)
+    for bad in (2.5, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="n_pairs must be an integer >= 2"):
+            BoundStateSpec(n_pairs=bad)
     with pytest.raises(ValueError):
         BoundStateSpec(r=-0.5)
     with pytest.raises(ValueError):
@@ -43,6 +92,13 @@ def test_spec_validation():
     assert spec.n_modes == 6
     with pytest.raises(ValueError):
         BoundStateSpec.from_dict({"r": 1.0})
+
+
+def test_spec_stores_an_integer_pair_count():
+    for n_pairs in (3.0, np.int64(3), np.float64(3.0)):
+        spec = BoundStateSpec(n_pairs, 0.5, 1.0, 2.0)
+        assert type(spec.n_pairs) is int and spec.n_pairs == 3
+        assert np.array_equal(smolin_cv_2n(spec).cov, smolin_cv_2n(BoundStateSpec(3, 0.5, 1.0, 2.0)).cov)
 
 
 def test_four_mode_without_noise_is_two_pairs():
@@ -126,19 +182,39 @@ def test_2n_constructor_matches_sampling_oracle():
     assert (np.abs(cov_est - state.cov) <= 5 * se + 1e-12).all()
 
 
-@pytest.mark.parametrize("n_pairs", [2, 3, 5])
+@pytest.mark.parametrize("n_pairs", [2, 3, 5, 32])
 def test_2n_bit_identical_to_state_operations(n_pairs, rng):
     # squeezed pairs first, then sigma^2 p p^T per chain pattern in order:
     # the addition order fixes every bit of the covariance
     for _ in range(20):
         spec = BoundStateSpec(n_pairs, rng.uniform(0, 6), rng.uniform(0, 8), rng.uniform(0, 8))
-        state = epr_pair(spec.r)
-        for _ in range(n_pairs - 1):
-            state = tensor(state, epr_pair(spec.r))
-        pairs = [(2 * k, 2 * k + 1) for k in range(n_pairs)]
-        for noise in chain_noise_patterns(pairs, spec.sigma_x, spec.sigma_p, spec.n_modes):
-            state = add_classical_noise(state, noise)
-        assert np.array_equal(smolin_cv_2n(spec).cov, state.cov)
+        assert np.array_equal(smolin_cv_2n(spec).cov, dense_chain_cov(spec))
+
+
+@pytest.mark.parametrize("n_pairs", [2, 3, 5, 32])
+@pytest.mark.parametrize(
+    "r, sigma_x, sigma_p",
+    [(0.0, 1.3, 0.7), (-0.0, 1.3, 0.0), (1.1, 0.0, 0.0), (0.0, 0.0, -0.0)],
+    ids=["r0", "r-0-sigma_p0", "sigma0", "r0-sigma0"],
+)
+def test_2n_signed_zeros_match_state_operations(n_pairs, r, sigma_x, sigma_p):
+    # at r = 0 the x-x pair entries start as -0.0 (at r = -0.0 the p-p ones
+    # would), and the oracle's dense noise terms turn every one of them +0.0;
+    # with sigma = 0 the builder's support terms are +-0.0 and must leave the
+    # same signs
+    spec = BoundStateSpec(n_pairs, r, sigma_x, sigma_p)
+    assert bit_equal(smolin_cv_2n(spec).cov, dense_chain_cov(spec))
+
+
+def test_stacked_builder_with_zeros_matches_per_point_builder():
+    r = np.concatenate([[0.0, -0.0], np.linspace(0.1, 3.0, 10)])[:, None]
+    sigma = np.concatenate([[0.0, -0.0], np.linspace(0.25, 5.0, 18)])
+    covs = smolin_cv_covariances(2, r, sigma, sigma[::-1])
+    assert covs.shape == (12, 20, 8, 8)
+    for i in range(12):
+        for j in range(20):
+            spec = BoundStateSpec(2, float(r[i, 0]), float(sigma[j]), float(sigma[::-1][j]))
+            assert bit_equal(covs[i, j], smolin_cv_2n(spec).cov)
 
 
 @pytest.mark.parametrize("n_pairs", [2, 3])
@@ -258,6 +334,41 @@ def test_factorized_construction_cut_stays_entangled(sigma):
     nu = ppt_min_symplectic(state, named_bipartition("13-24"))
     assert nu == pytest.approx(np.exp(-2.0) / 2, abs=1e-9)
     assert nu < 0.5
+
+
+def regrouped_reference(spec: BoundStateSpec, variant) -> np.ndarray:
+    """Dense {0,3 | 1,2} recipe from the variant's parameters: pairs on (0,3), (1,2), then both chains."""
+    pairs = tensor(epr_pair(spec.r), epr_pair(spec.r))
+    quads = [q for m in (0, 2, 3, 1) for q in (2 * m, 2 * m + 1)]  # modes 0, 1 of the product go to 0, 3
+    state = GaussianState(np.zeros(8), pairs.cov[np.ix_(quads, quads)])
+    base_x, base_p = float(variant.sigma_x_prime), float(variant.sigma_p_prime)
+    noises = chain_noise_patterns(GROUP_14_23.subsets, base_x, base_p, 4)
+    noises += chain_noise_patterns(GROUP_12_34.subsets, variant.residual_sigma_x, variant.residual_sigma_p, 4)
+    for noise in noises:
+        state = add_classical_noise(state, noise)
+    return state.cov
+
+
+def factorized_reference(spec: BoundStateSpec, variant) -> np.ndarray:
+    """Dense {0,2 | 1,3} recipe: a clean pair, a doubly-noised pair, then the party-local beamsplitters."""
+    noisy = add_classical_noise(epr_pair(spec.r), NoisePattern(np.array([1.0, 0, 1, 0]), variant.sigma_x_prime))
+    noisy = add_classical_noise(noisy, NoisePattern(np.array([0, 1.0, 0, -1]), variant.sigma_p_prime))
+    slots = tensor(epr_pair(spec.r), noisy).cov
+    unmix = (beamsplitter(0, 2, -np.pi / 4, 4) @ beamsplitter(1, 3, -np.pi / 4, 4)).matrix
+    return unmix @ slots @ unmix.T
+
+
+@pytest.mark.parametrize(
+    "r, sigma_x, sigma_p",
+    [(0.0, 0.0, 0.0), (-0.0, 0.7, 0.0), (0.0, 1.2, 0.4), (0.7, 0.8, 1.5), (1.0, 1.0, 1.0), (2.0, 3.0, 2.7)],
+)
+def test_equivalent_constructions_equal_dense_references(r, sigma_x, sigma_p):
+    spec = BoundStateSpec(2, r, sigma_x, sigma_p)
+    variant, rebuilt = equivalent_construction(spec, GROUP_14_23)
+    assert variant.feasible
+    assert bit_equal(rebuilt.cov, regrouped_reference(spec, variant))
+    variant, rebuilt = equivalent_construction(spec, GROUP_13_24)
+    assert bit_equal(rebuilt.cov, factorized_reference(spec, variant))
 
 
 @pytest.mark.parametrize(
