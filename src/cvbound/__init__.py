@@ -13,10 +13,8 @@ from .states import (
     apply_symplectic,
     beamsplitter,
     epr_pair,
-    partial_trace,
     partial_transpose,
     quad_variance,
-    rotation,
     sample_oracle,
     symplectic_eigenvalues,
     symplectic_form,
@@ -27,7 +25,6 @@ from .stabilizer import (
     Bipartition,
     Nullifier,
     Partition,
-    commutes,
     is_complete_on,
     nullifier_variance,
     p_alternating_nullifier,
@@ -57,7 +54,6 @@ from .separability import (
 from .protocols import (
     ProtocolReport,
     bell_measure,
-    homodyne_condition,
     measure_with_feedforward,
     superactivate,
     unlock,

@@ -52,8 +52,10 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError("grid step must be positive")
     if b < a:
         return []  # empty grid; the sweep command reports it as exit 1
-    count = int(np.floor((b - a) / step + 1 + 1e-9))
-    return [a + k * step for k in range(count)]
+    count = np.floor((b - a) / step + 1 + 1e-9)
+    if not np.isfinite(count):
+        raise argparse.ArgumentTypeError("grid must hold a finite number of points")
+    return [a + k * step for k in range(int(count))]
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
@@ -69,7 +71,10 @@ def _spec_from_args(args) -> factory.BoundStateSpec:
     base = {"n_pairs": 2, "r": 1.0, "sigma_x": 1.0, "sigma_p": 1.0}
     if args.config:
         with open(args.config) as fh:
-            base.update(json.load(fh))
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError("malformed state spec: the config file must hold a JSON object")
+        base.update(config)
     if args.pairs is not None:
         base["n_pairs"] = args.pairs
     if args.sigma is not None:

@@ -1,25 +1,18 @@
-"""Measurement protocols: homodyne conditioning, joint sum/difference
-measurements with unit-gain feedforward, entanglement unlocking, and two-copy
-superactivation.
+"""Measurement protocols: joint sum/difference measurements with unit-gain
+feedforward, entanglement unlocking, and two-copy superactivation.
 
-Two measurement semantics appear here and they are not the same thing:
-
-* :func:`homodyne_condition` is plain Gaussian conditioning.  The conditioned
-  covariance is the Schur complement of the measured quadrature block and is
-  outcome independent; the outcome-dependent mean is cancelled by the
-  (regression-gain) displacement, leaving the averaged mean.
-
-* :func:`bell_measure` and the protocols model the broadcast-and-displace
-  scheme with *unit* feedforward gain.  The receiver adds the communicated
-  outcomes to its own quadratures with gain of magnitude 1, so the surviving
-  ensemble is Gaussian with moments obtained by the linear map
-  ``R_out = (P + G L) R``: P selects the surviving quadratures, L the
-  measured combinations and G the gains.  Its covariance ``M cov M^T``
-  equals the Schur-conditioned covariance plus the positive residue of the
-  gain mismatch, hence every conditioned state is physical.  Unit gain is
-  what makes the corrected survivor combinations equal the global nullifiers
-  exactly, which is why the protocol witnesses come out at 2 exp(-2r) per
-  copy independent of the classical noise.
+:func:`bell_measure` and the protocols model the broadcast-and-displace
+scheme with *unit* feedforward gain.  The receiver adds the communicated
+outcomes to its own quadratures with gain of magnitude 1, so the surviving
+ensemble is Gaussian with moments obtained by the linear map
+``R_out = (P + G L) R``: P selects the surviving quadratures, L the measured
+combinations and G the gains.  This is not plain Gaussian conditioning, whose
+covariance is the outcome-independent Schur complement of the measured
+quadrature block: ``M cov M^T`` equals that Schur-conditioned covariance plus
+the positive residue of the gain mismatch, hence every conditioned state is
+physical.  Unit gain is what makes the corrected survivor combinations equal
+the global nullifiers exactly, which is why the protocol witnesses come out at
+2 exp(-2r) per copy independent of the classical noise.
 """
 
 from __future__ import annotations
@@ -33,12 +26,10 @@ from .separability import _duan_coeffs, duan_value, duan_verdict
 from .stabilizer import parity_sign
 from .states import GaussianState, quad_variance, symplectic_form, tensor
 
-PINV_CUTOFF = 1e-12
 COMMUTE_TOL = 1e-10
 
 __all__ = [
     "ProtocolReport",
-    "homodyne_condition",
     "measure_with_feedforward",
     "bell_measure",
     "unlock",
@@ -71,32 +62,6 @@ class ProtocolReport:
             "entangled": self.entangled,
             "params": self.params,
         }
-
-
-def homodyne_condition(state: GaussianState, mode: int, quad: str) -> GaussianState:
-    """Condition on an ideal homodyne measurement of one quadrature.
-
-    Removes the measured mode.  The remaining covariance is
-    ``A - B (pi C pi)^+ B^T`` with A/B/C the kept, cross and measured blocks,
-    pi the projector onto the measured quadrature and a pseudo-inverse cutoff
-    of 1e-12 (singular measured directions simply drop out).  The mean is the
-    outcome-averaged one, i.e. the kept entries unchanged.
-    """
-    n = state.n_modes
-    if not 0 <= mode < n:
-        raise ValueError("mode index out of range")
-    if n < 2:
-        raise ValueError("conditioning would leave no modes")
-    if quad not in ("x", "p"):
-        raise ValueError("quad must be 'x' or 'p'")
-    meas = [2 * mode, 2 * mode + 1]
-    keep = [q for q in range(2 * n) if q not in meas]
-    A = state.cov[np.ix_(keep, keep)]
-    B = state.cov[np.ix_(keep, meas)]
-    C = state.cov[np.ix_(meas, meas)]
-    pi = np.diag([1.0, 0.0]) if quad == "x" else np.diag([0.0, 1.0])
-    inv = np.linalg.pinv(pi @ C @ pi, rcond=PINV_CUTOFF, hermitian=True)
-    return GaussianState(state.mean[keep], A - B @ inv @ B.T)
 
 
 def _support_modes(combo: np.ndarray) -> set[int]:

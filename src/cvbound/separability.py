@@ -27,6 +27,7 @@ from .stabilizer import Bipartition
 from .states import GaussianState, partial_transpose, quad_variance, symplectic_eigenvalues
 
 VERDICT_TOL = 1e-10
+_SEARCH_SIGMA_MAX = 10.0  # upper end of the noise bracket of ppt_threshold_search
 
 __all__ = [
     "Bipartition",
@@ -165,16 +166,11 @@ def ppt_threshold_sigma(r: float) -> float | None:
     return float(np.sqrt(np.sinh(2 * r) / 4.0))
 
 
-def ppt_threshold_search(
-    r: float,
-    bp: Bipartition,
-    sigma_max: float = 10.0,
-    tol: float = 1e-6,
-) -> float | None:
+def ppt_threshold_search(r: float, bp: Bipartition, tol: float = 1e-6) -> float | None:
     """Noise strength at which the partial transpose across ``bp`` turns positive.
 
     Finds the sign change of nu_min(sigma) - 1/2 for the four-mode state with
-    sigma_x = sigma_p = sigma on [0, sigma_max] by :func:`_bracketed_root`, a
+    sigma_x = sigma_p = sigma on [0, 10] by :func:`_bracketed_root`, a
     safeguarded Illinois search, and returns the midpoint of a final bracket at
     most ``tol`` wide.  Each gap evaluation builds and validates the state in
     full.  On the 14-23 cut, for r in [0.005, 3.34] at tol 1e-6 or 1e-8, it
@@ -185,21 +181,19 @@ def ppt_threshold_search(
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if sigma_max <= 0:
-        raise ValueError("sigma_max must be positive")
-    floor = 2 * np.spacing(sigma_max)  # a narrower bracket may hold no float strictly inside
+    floor = 2 * np.spacing(_SEARCH_SIGMA_MAX)  # a narrower bracket may hold no float strictly inside
     if tol < floor:
-        raise ValueError(f"tolerance must be at least twice the float spacing at sigma_max, {floor:.3g}")
+        raise ValueError(f"tolerance must be at least twice the float spacing at sigma = {_SEARCH_SIGMA_MAX:g}, {floor:.3g}")
 
     def gap(sigma: float) -> float:
         spec = BoundStateSpec(n_pairs=2, r=r, sigma_x=sigma, sigma_p=sigma)
         return ppt_min_symplectic(smolin_cv_four(spec), bp) - 0.5
 
     guard = 1e-9  # treat eigenvalues numerically at 1/2 as non-crossing
-    gap_lo, gap_hi = gap(0.0), gap(sigma_max)
+    gap_lo, gap_hi = gap(0.0), gap(_SEARCH_SIGMA_MAX)
     if not (gap_lo < -guard and gap_hi > guard) and not (gap_lo > guard and gap_hi < -guard):
         return None
-    lo, hi = _bracketed_root(gap, 0.0, sigma_max, gap_lo, gap_hi, tol)
+    lo, hi = _bracketed_root(gap, 0.0, _SEARCH_SIGMA_MAX, gap_lo, gap_hi, tol)
     return 0.5 * (lo + hi)
 
 
@@ -242,13 +236,13 @@ def _bracketed_root(gap, lo: float, hi: float, gap_lo: float, gap_hi: float, tol
     return lo, hi
 
 
-def ppt_verdict(state: GaussianState, bp: Bipartition, tol: float = VERDICT_TOL) -> SeparabilityVerdict:
+def ppt_verdict(state: GaussianState, bp: Bipartition) -> SeparabilityVerdict:
     """PPT test with the one-sidedness discipline described in the module docstring."""
-    return _ppt_rule(ppt_min_symplectic(state, bp), bp, tol)
+    return _ppt_rule(ppt_min_symplectic(state, bp), bp)
 
 
-def _ppt_rule(nu_min: float, bp: Bipartition, tol: float = VERDICT_TOL) -> SeparabilityVerdict:
-    if nu_min < 0.5 - tol:
+def _ppt_rule(nu_min: float, bp: Bipartition) -> SeparabilityVerdict:
+    if nu_min < 0.5 - VERDICT_TOL:
         verdict = "entangled"
     elif len(bp.side_a) == 1 and len(bp.side_b) == 1:
         verdict = "separable"
@@ -257,8 +251,8 @@ def _ppt_rule(nu_min: float, bp: Bipartition, tol: float = VERDICT_TOL) -> Separ
     return SeparabilityVerdict("ppt", verdict, nu_min, 0.5)
 
 
-def duan_verdict(value: float, tol: float = VERDICT_TOL) -> SeparabilityVerdict:
-    verdict = "entangled" if value < 2.0 - tol else "inconclusive"
+def duan_verdict(value: float) -> SeparabilityVerdict:
+    verdict = "entangled" if value < 2.0 - VERDICT_TOL else "inconclusive"
     return SeparabilityVerdict("duan", verdict, value, 2.0)
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "Partition",
     "Bipartition",
     "symplectic_phase",
-    "commutes",
     "partition_commutation_table",
     "all_local_commuting",
     "nullifier_variance",
@@ -104,10 +103,6 @@ def symplectic_phase(u: Nullifier, v: Nullifier) -> float:
     return float(u.coeffs @ symplectic_form(u.n_modes) @ v.coeffs)
 
 
-def commutes(u: Nullifier, v: Nullifier, tol: float = 1e-12) -> bool:
-    return abs(symplectic_phase(u, v)) <= tol
-
-
 def _local_phases(gens: list[Nullifier], subset) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient rows of ``gens`` zeroed outside the modes of ``subset``, and their omega matrix.
 
@@ -132,9 +127,9 @@ def partition_commutation_table(gens: list[Nullifier], part: Partition) -> np.nd
     return np.array([_local_phases(gens, sub)[1] for sub in part.subsets])
 
 
-def all_local_commuting(table: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when every entry of a commutation table vanishes within tol."""
-    return bool(np.abs(table).max() <= tol)
+def all_local_commuting(table: np.ndarray) -> bool:
+    """True when every entry of a commutation table vanishes within 1e-12."""
+    return bool(np.abs(table).max() <= 1e-12)
 
 
 def nullifier_variance(state: GaussianState, h: Nullifier) -> float:
@@ -144,15 +139,15 @@ def nullifier_variance(state: GaussianState, h: Nullifier) -> float:
     return quad_variance(state, h.coeffs)
 
 
-def is_complete_on(gens: list[Nullifier], subset, tol: float = RANK_TOL) -> bool:
+def is_complete_on(gens: list[Nullifier], subset) -> bool:
     """Do the restricted generators form a complete commuting set on ``subset``?
 
     True when the restrictions span an isotropic subspace of dimension equal
     to the subset size: their stacked coefficient vectors have rank
-    len(subset) (singular values above tol * largest) and all pairwise
-    commutation phases vanish.  This is the counting criterion for pure
-    entanglement being distillable inside the subset once the remaining
-    parties measure jointly.
+    len(subset) (singular values above RANK_TOL * largest) and all pairwise
+    commutation phases vanish within RANK_TOL.  This is the counting
+    criterion for pure entanglement being distillable inside the subset once
+    the remaining parties measure jointly.
     """
     subset = set(subset)
     if not subset:
@@ -160,12 +155,12 @@ def is_complete_on(gens: list[Nullifier], subset, tol: float = RANK_TOL) -> bool
     if not gens:
         return False
     local, phases = _local_phases(gens, subset)
-    if (np.abs(np.triu(phases, 1)) > tol).any():
+    if (np.abs(np.triu(phases, 1)) > RANK_TOL).any():
         return False
     svals = np.linalg.svd(local, compute_uv=False)
     if svals[0] == 0.0:
         return False
-    rank = int(np.sum(svals > tol * svals[0]))
+    rank = int(np.sum(svals > RANK_TOL * svals[0]))
     return rank == len(subset)
 
 

@@ -37,10 +37,8 @@ __all__ = [
     "epr_pair",
     "tensor",
     "beamsplitter",
-    "rotation",
     "apply_symplectic",
     "add_classical_noise",
-    "partial_trace",
     "partial_transpose",
     "symplectic_eigenvalues",
     "require_physical",
@@ -333,20 +331,6 @@ def beamsplitter(i: int, j: int, theta: float, n: int) -> SymplecticMap:
     return SymplecticMap(S)
 
 
-def rotation(mode: int, phi: float, n: int) -> SymplecticMap:
-    """Phase-space rotation of one mode: x -> cos(phi) x + sin(phi) p."""
-    if not 0 <= mode < n:
-        raise ValueError("mode index out of range")
-    S = np.eye(2 * n)
-    c, s = np.cos(phi), np.sin(phi)
-    a, b = 2 * mode, 2 * mode + 1
-    S[a, a] = c
-    S[a, b] = s
-    S[b, a] = -s
-    S[b, b] = c
-    return SymplecticMap(S)
-
-
 def apply_symplectic(state: GaussianState, smap: SymplecticMap) -> GaussianState:
     """Gaussian-unitary action on moments: mean -> S mean, cov -> S cov S^T."""
     S = smap.matrix
@@ -365,24 +349,6 @@ def add_classical_noise(state: GaussianState, noise: NoisePattern) -> GaussianSt
         raise ValueError("noise pattern length does not match the state")
     cov = state.cov + noise.sigma**2 * np.outer(noise.pattern, noise.pattern)
     return GaussianState(state.mean, cov)
-
-
-def _quad_indices(modes: Iterable[int]) -> list[int]:
-    out = []
-    for m in modes:
-        out.extend((2 * m, 2 * m + 1))
-    return out
-
-
-def partial_trace(state: GaussianState, keep: Iterable[int]) -> GaussianState:
-    """Reduced state on the given (sorted) subset of modes."""
-    keep = sorted(set(keep))
-    if not keep:
-        raise ValueError("must keep at least one mode")
-    if keep[0] < 0 or keep[-1] >= state.n_modes:
-        raise ValueError("mode index out of range")
-    idx = _quad_indices(keep)
-    return GaussianState(state.mean[idx], state.cov[np.ix_(idx, idx)])
 
 
 def partial_transpose(state: GaussianState | np.ndarray, flip: Iterable[int]) -> np.ndarray:

@@ -104,6 +104,15 @@ def test_fractional_n_pairs_in_config_exits_2(tmp_path, capsys):
         assert json.loads(out)["n_modes"] == 6
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "null", "3"])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "build", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: malformed state spec: the config file must hold a JSON object\n"
+
+
 def test_sep_check_verdicts(capsys):
     code, out, _ = run(capsys, "sep-check", "--r", "1", "--sigma", "1", "--format", "json")
     assert code == 0
@@ -364,6 +373,18 @@ def test_sweep_empty_grid_exits_1(capsys):
     assert err.value.code == 2  # bad step is an argument error
 
 
+@pytest.mark.parametrize("grid_r", ["0:inf:1", "0:1e308:1e-308"])
+def test_sweep_grid_with_unbounded_point_count_exits_2(grid_r):
+    # (b - a) / step overflows to inf: the grid has no finite point count
+    argv = ["sweep", "--grid-r", grid_r, "--grid-sigma", "0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvbound.cli", *argv], env=_subprocess_env(), capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.endswith("error: argument --grid-r: grid must hold a finite number of points\n")
+
+
 def test_validate_passes_and_is_deterministic(capsys):
     code, out1, _ = run(capsys, "validate", "--seed", "7", "--count", "20000")
     assert code == 0
@@ -412,9 +433,14 @@ def test_validate_accepts_strongly_squeezed_built_state(tmp_path, capsys):
     assert out.splitlines()[1].startswith("[PASS] physicality: min symplectic eigenvalue 0.4999998")
 
 
-def test_cli_import_loads_neither_scipy_nor_multiprocessing():
+def _subprocess_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(cvbound.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_import_loads_neither_scipy_nor_multiprocessing():
+    env = _subprocess_env()
     code = "import sys, cvbound.cli; print(sorted({'scipy', 'multiprocessing'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
@@ -434,8 +460,7 @@ def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
     # main reuses one parser per process; repeated and failed parses must not
     # leak into the next call
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to the terminal width
-    src = os.path.dirname(os.path.dirname(cvbound.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _subprocess_env()
     calls = [
         ("sweep", "--grid-r", "0.5:1:0.5", "--grid-sigma", "0:1:1", "--bipartition", "13-24"),
         ("nullifiers", "--pairs", "3", "--r", "0.7"),

@@ -6,7 +6,6 @@ import pytest
 from cvbound.factory import BoundStateSpec, smolin_cv_four
 from cvbound.protocols import (
     bell_measure,
-    homodyne_condition,
     measure_with_feedforward,
     superactivate,
     unlock,
@@ -17,61 +16,22 @@ from cvbound.states import (
     sample_oracle,
     symplectic_eigenvalues,
     tensor,
-    vacuum_state,
 )
 
 ALLOWED_PAIRS = [(0, 3), (1, 2), (0, 1), (2, 3)]
 FORBIDDEN_PAIRS = [(0, 2), (1, 3)]
 
 
-def test_homodyne_on_product_state_leaves_rest_untouched():
-    state = tensor(vacuum_state(1), epr_pair(1.0))
-    out = homodyne_condition(state, 0, "x")
-    assert np.allclose(out.cov, epr_pair(1.0).cov, atol=1e-12)
+def schur_conditioned(cov: np.ndarray, measured: list[int]) -> np.ndarray:
+    """Covariance of the modes left after ideal homodyne readout of the ``measured`` quadratures.
 
-
-def test_homodyne_epr_closed_form():
-    r = 1.0
-    out = homodyne_condition(epr_pair(r), 1, "x")
-    c2, s2 = np.cosh(2 * r) / 2, np.sinh(2 * r) / 2
-    assert out.cov[0, 0] == pytest.approx(c2 - s2**2 / c2, abs=1e-12)
-    assert out.cov[0, 0] == pytest.approx(1 / (2 * np.cosh(2 * r)), abs=1e-12)
-    # the unmeasured quadrature keeps its marginal variance
-    assert out.cov[1, 1] == pytest.approx(c2, abs=1e-12)
-
-
-def test_homodyne_conditioning_matches_sampling_regression():
-    # empirical check of the conditional-covariance update: regress the kept
-    # quadratures on the measured one and compare residual covariances
-    state = smolin_cv_four(BoundStateSpec(2, 0.8, 1.0, 1.0))
-    out = homodyne_condition(state, 3, "p")
-    count = 400_000
-    rng = np.random.default_rng(3)
-    L = np.linalg.cholesky(state.cov + 1e-12 * np.eye(8))
-    samples = rng.standard_normal((count, 8)) @ L.T
-    measured = samples[:, 7]
-    kept = samples[:, :6]
-    beta = (kept.T @ measured) / (measured @ measured)
-    residual = kept - np.outer(measured, beta)
-    emp = residual.T @ residual / (count - 1)
-    assert np.abs(emp - out.cov).max() < 0.03
-
-
-def test_homodyne_order_independence():
-    state = smolin_cv_four(BoundStateSpec(2, 1.0, 0.5, 0.5))
-    a = homodyne_condition(homodyne_condition(state, 3, "p"), 0, "x")
-    b = homodyne_condition(homodyne_condition(state, 0, "x"), 2, "p")
-    # after measuring modes 0 and 3 in either order the survivors agree
-    assert np.allclose(a.cov, b.cov, atol=1e-12)
-
-
-def test_homodyne_validation():
-    with pytest.raises(ValueError):
-        homodyne_condition(epr_pair(1.0), 2, "x")
-    with pytest.raises(ValueError):
-        homodyne_condition(vacuum_state(1), 0, "x")
-    with pytest.raises(ValueError):
-        homodyne_condition(epr_pair(1.0), 0, "y")
+    Plain Gaussian conditioning: the Schur complement of the measured block,
+    with every mode that holds a measured quadrature removed.
+    """
+    modes = {q // 2 for q in measured}
+    keep = [q for q in range(len(cov)) if q // 2 not in modes]
+    cross = cov[np.ix_(keep, measured)]
+    return cov[np.ix_(keep, keep)] - cross @ np.linalg.solve(cov[np.ix_(measured, measured)], cross.T)
 
 
 def test_feedforward_validation():
@@ -116,9 +76,9 @@ def test_bell_measure_feedforward_noise_dominates_conditioning():
     from cvbound.states import apply_symplectic, beamsplitter
 
     mixed = apply_symplectic(state, beamsplitter(0, 3, np.pi / 4, 4))
-    conditioned = homodyne_condition(homodyne_condition(mixed, 3, "p"), 0, "x")
+    conditioned = schur_conditioned(mixed.cov, [7, 0])  # p of mode 3, x of mode 0
     ensemble = bell_measure(state, 0, 3)
-    diff = ensemble.cov - conditioned.cov
+    diff = ensemble.cov - conditioned
     assert np.linalg.eigvalsh(diff).min() >= -1e-10
 
 

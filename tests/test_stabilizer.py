@@ -11,7 +11,6 @@ from cvbound.stabilizer import (
     Nullifier,
     Partition,
     all_local_commuting,
-    commutes,
     is_complete_on,
     nullifier_variance,
     p_alternating_nullifier,
@@ -34,8 +33,6 @@ def test_symplectic_phase_of_canonical_generators():
     local1 = Nullifier([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     local2 = Nullifier([0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
     assert symplectic_phase(local1, local2) == 2.0
-    assert not commutes(local1, local2)
-    assert commutes(u1, u2)
 
 
 def test_symplectic_phase_length_mismatch():
