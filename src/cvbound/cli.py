@@ -10,10 +10,10 @@ is printed with 12 significant digits.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
+import itertools
 import json
+import operator
 import sys
 
 import numpy as np
@@ -21,6 +21,10 @@ import numpy as np
 from . import factory, protocols, separability, stabilizer, states
 
 FMT = "{:.12g}"
+
+# the most points one sweep grid, or one axis of it, may hold: a sweep peaks
+# at about 3.4 KB per point, so 2**18 points stay near 1 GB
+_MAX_GRID_POINTS = 2**18
 
 
 def _fmt(x: float) -> str:
@@ -55,6 +59,8 @@ def _parse_grid(text: str) -> list[float]:
     count = np.floor((b - a) / step + 1 + 1e-9)
     if not np.isfinite(count):
         raise argparse.ArgumentTypeError("grid must hold a finite number of points")
+    if count > _MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"grid must hold at most {_MAX_GRID_POINTS} points")
     return [a + k * step for k in range(int(count))]
 
 
@@ -144,12 +150,12 @@ def cmd_nullifiers(args) -> int:
     return 0
 
 
-def _combined_verdict(ppt_v, cons_v) -> str:
-    if ppt_v.verdict == "entangled":
+def _combined_verdict(ppt_verdict: str, separable_by_construction: bool) -> str:
+    if ppt_verdict == "entangled":
         return "entangled"
-    if cons_v is not None and cons_v.verdict == "separable":
+    if separable_by_construction:
         return "separable (by construction)"
-    if ppt_v.verdict == "separable":
+    if ppt_verdict == "separable":
         return "separable"
     return "PPT (separability not certified)"
 
@@ -185,14 +191,16 @@ def cmd_sep_check(args) -> int:
     rows = []
     for label, bp in separability.FOUR_MODE_BIPARTITIONS.items():
         (ppt_v,), log_neg, duan = separability.cut_diagnostics(state.cov[None], bp)
-        cons_v = separability.construction_verdict(spec, label) if spec else None
+        by_construction = spec is not None and separability._construction_separable(
+            label, spec.r, float(min(spec.sigma_x, spec.sigma_p) ** 2)
+        )
         rows.append(
             {
                 "bipartition": label,
                 "nu_min": ppt_v.witness_value,
                 "log_neg": float(log_neg[0]),
                 "duan": float(duan[0]),
-                "verdict": _combined_verdict(ppt_v, cons_v),
+                "verdict": _combined_verdict(ppt_v.verdict, by_construction),
             }
         )
     footer = None
@@ -230,6 +238,9 @@ def cmd_sep_check(args) -> int:
 
 
 SWEEP_COLUMNS = ["r", "sigma", "bipartition", "nu_min", "log_neg", "duan", "verdict", "duan_threshold_sigma_sq"]
+# one CSV row: the bytes csv.writer writes for these cells, none of which
+# needs quoting
+_SWEEP_ROW = "{:.12g},{:.12g},{},{:.12g},{:.12g},{:.12g},{},{:.12g}\r\n"
 
 
 def cmd_sweep(args) -> int:
@@ -238,37 +249,48 @@ def cmd_sweep(args) -> int:
     if not r_values or not sigma_values:
         print("error: empty sweep grid", file=sys.stderr)
         return 1
+    n_r, n_sigma = len(r_values), len(sigma_values)
+    if n_r * n_sigma > _MAX_GRID_POINTS:
+        print(f"error: the sweep grid holds {n_r * n_sigma} points, more than {_MAX_GRID_POINTS}", file=sys.stderr)
+        return 2
     label = args.bipartition
-    # one spec per grid point, in grid order, so an out-of-range value fails
-    # with the spec's own message at the first point that holds it
-    specs = [factory.BoundStateSpec(2, r, sigma, sigma) for r in r_values for sigma in sigma_values]
-    sigmas = [spec.sigma_x for spec in specs]
-    covs = factory.smolin_cv_covariances(2, [spec.r for spec in specs], sigmas, sigmas)
+    # a spec checks r before sigma, and each check reads r alone or sigma
+    # alone; so checking (r_0, sigma) for every sigma, then (r, sigma_0) for
+    # every r, raises the message of the first bad point in grid order
+    for sigma in sigma_values:
+        factory.BoundStateSpec(2, r_values[0], sigma, sigma)
+    for r in r_values:
+        factory.BoundStateSpec(2, r, sigma_values[0], sigma_values[0])
+    r_column = np.repeat(r_values, n_sigma)
+    sigma_column = np.tile(sigma_values, n_r)
+    covs = factory.smolin_cv_covariances(2, r_column, sigma_column, sigma_column)
     states.require_physical(covs)
     ppt_vs, log_negs, duans = separability.cut_diagnostics(covs, separability.named_bipartition(label))
-    floors = {r: separability.duan_threshold_sigma_sq(r) for r in r_values}
-    rows = [
-        {
-            "r": spec.r,
-            "sigma": spec.sigma_x,
-            "bipartition": label,
-            "nu_min": ppt_v.witness_value,
-            "log_neg": log_neg,
-            "duan": duan,
-            "verdict": SWEEP_VERDICTS[_combined_verdict(ppt_v, separability.construction_verdict(spec, label))],
-            "duan_threshold_sigma_sq": floors[spec.r],
-        }
-        for spec, ppt_v, log_neg, duan in zip(specs, ppt_vs, log_negs.tolist(), duans.tolist())
-    ]
+    sigma_sq = np.array([sigma**2 for sigma in sigma_values])
+    by_construction = np.empty((n_r, n_sigma), dtype=bool)
+    for row, r in zip(by_construction, r_values):
+        row[...] = separability._construction_separable(label, r, sigma_sq)
+    # _combined_verdict over its whole domain, then one lookup per point
+    short = {
+        (ppt, cons): SWEEP_VERDICTS[_combined_verdict(ppt, cons)]
+        for ppt in ("entangled", "separable", "inconclusive")
+        for cons in (False, True)
+    }
+    nu_mins, ppt_verdicts = zip(*map(operator.attrgetter("witness_value", "verdict"), ppt_vs))
+    columns = (
+        r_column.tolist(),
+        sigma_column.tolist(),
+        itertools.repeat(label, n_r * n_sigma),
+        nu_mins,
+        log_negs.tolist(),
+        duans.tolist(),
+        list(map(short.__getitem__, zip(ppt_verdicts, by_construction.ravel().tolist()))),
+        np.repeat([separability.duan_threshold_sigma_sq(r) for r in r_values], n_sigma).tolist(),
+    )
     if args.format == "json":
-        _emit(_json_dump(rows), args.out)
-        return 0
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) if isinstance(row[c], float) else row[c] for c in SWEEP_COLUMNS])
-    _emit(buf.getvalue(), args.out)
+        _emit(_json_dump([dict(zip(SWEEP_COLUMNS, row)) for row in zip(*columns)]), args.out)
+    else:
+        _emit(",".join(SWEEP_COLUMNS) + "\r\n" + "".join(map(_SWEEP_ROW.format, *columns)), args.out)
     return 0
 
 

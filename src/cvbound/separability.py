@@ -263,21 +263,38 @@ def construction_verdict(spec: BoundStateSpec, label: str) -> SeparabilityVerdic
     noise strength.  Across 14-23 the mixture recipe exists exactly when both
     noise variances reach sinh(2r)/4.  Across 13-24 the factorized recipe
     contains a noise-free squeezed pair spanning the cut, so the state is
-    entangled there whenever r > 0.
+    entangled there whenever r > 0.  The verdict is "separable" exactly when
+    :func:`_construction_separable` holds.
     """
     if spec.n_pairs != 2:
         raise ValueError("construction verdicts are defined for the four-mode state")
-    floor = float(np.sinh(2 * spec.r) / 4.0)
     witness = float(min(spec.sigma_x, spec.sigma_p) ** 2)
+    separable = _construction_separable(label, spec.r, witness)
     if label == "12-34":
         return SeparabilityVerdict("construction", "separable", witness, 0.0)
     if label == "14-23":
-        verdict = "separable" if witness >= floor else "inconclusive"
-        return SeparabilityVerdict("construction", verdict, witness, floor)
+        floor = float(np.sinh(2 * spec.r) / 4.0)
+        return SeparabilityVerdict("construction", "separable" if separable else "inconclusive", witness, floor)
+    nu = float(np.exp(-2 * spec.r) / 2.0)
+    return SeparabilityVerdict("construction", "separable" if separable else "entangled", nu, 0.5)
+
+
+def _construction_separable(label: str, r: float, min_sigma_sq):
+    """Whether the four-mode state's own recipe is a mixture of products across ``label``.
+
+    ``r`` is a float and ``min_sigma_sq`` is min(sigma_x, sigma_p)**2, a float
+    or an array of them; the result is a bool, or on 14-23 with an array a
+    bool array of its shape.  12-34 is always a mixture of pair products,
+    14-23 is one when min_sigma_sq reaches sinh(2r)/4, and 13-24 only when
+    its noise-free pair is not entangled: e^{-2r}/2 not below 1/2 within
+    ``VERDICT_TOL``, at r = 0.
+    """
+    if label == "12-34":
+        return True
+    if label == "14-23":
+        return min_sigma_sq >= float(np.sinh(2 * r) / 4.0)
     if label == "13-24":
-        nu = float(np.exp(-2 * spec.r) / 2.0)
-        verdict = "entangled" if nu < 0.5 - VERDICT_TOL else "separable"
-        return SeparabilityVerdict("construction", verdict, nu, 0.5)
+        return not float(np.exp(-2 * r) / 2.0) < 0.5 - VERDICT_TOL
     raise ValueError(f"unknown bipartition label {label!r}")
 
 

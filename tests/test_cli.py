@@ -1,6 +1,10 @@
+import argparse
 import csv
+import io
 import json
+import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -9,7 +13,7 @@ import numpy as np
 import pytest
 
 import cvbound
-from cvbound import separability
+from cvbound import cli, separability
 from cvbound.cli import main
 from cvbound.factory import BoundStateSpec, smolin_cv_four
 from cvbound.states import state_from_dict
@@ -326,12 +330,12 @@ def test_spectrum_rounded_to_zero_exits_2(capsys, argv):
     assert out == ""
 
 
-def _scalar_sweep_rows(label):
-    # the grid of --grid-r 0.1:3:0.3 --grid-sigma 0:5:0.5, one state per point
+def _scalar_sweep_rows(label, r_values=None, sigma_values=None):
+    # one state per point; the default grid is --grid-r 0.1:3:0.3 --grid-sigma 0:5:0.5
     bp = separability.named_bipartition(label)
     rows = []
-    for r in [0.1 + k * 0.3 for k in range(10)]:
-        for sigma in [k * 0.5 for k in range(11)]:
+    for r in [0.1 + k * 0.3 for k in range(10)] if r_values is None else r_values:
+        for sigma in [k * 0.5 for k in range(11)] if sigma_values is None else sigma_values:
             spec = BoundStateSpec(2, r, sigma, sigma)
             state = smolin_cv_four(spec)
             ppt_v = separability.ppt_verdict(state, bp)
@@ -365,6 +369,61 @@ def test_sweep_matches_scalar_api(capsys, label):
     assert json.loads(out) == [dict(zip(keys, row)) for row in rounded]
 
 
+def _scalar_sweep_output(label, r_values, sigma_values, fmt):
+    """The sweep's stdout built from per-point rows with csv.writer or json.dumps."""
+    rows = _scalar_sweep_rows(label, r_values, sigma_values)
+    if fmt == "json":
+        rounded = [[float(f"{v:.12g}") if isinstance(v, float) else v for v in row] for row in rows]
+        return json.dumps([dict(zip(cli.SWEEP_COLUMNS, row)) for row in rounded], indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(cli.SWEEP_COLUMNS)
+    writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def _sweep_axes(capsys, monkeypatch, r_values, sigma_values, label="14-23", fmt="csv"):
+    """``main`` on a sweep over explicit axes, which no 'a:b:step' string may spell."""
+    args = argparse.Namespace(
+        grid_r=r_values, grid_sigma=sigma_values, bipartition=label, format=fmt, jobs=1, out=None, func=cli.cmd_sweep
+    )
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", lambda self, argv=None: args)
+    return run(capsys, "sweep")
+
+
+# sigma = sqrt(sinh(2r)/4) is the 14-23 construction boundary of each nonzero
+# r; one float below it the cut is PPT within tolerance but not separable by
+# construction
+_BOUNDARY_SIGMA = [math.sqrt(math.sinh(2 * r) / 4) for r in (0.3, 1.0, 2.5)]
+_EDGE_R = [0.0, -0.0, 0.3, 1.0, 2.5]
+_EDGE_SIGMA = [0.0, -0.0, 0.7, 3.0] + _BOUNDARY_SIGMA + [math.nextafter(s, 0.0) for s in _BOUNDARY_SIGMA]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("label", ["12-34", "14-23", "13-24"])
+def test_sweep_matches_per_point_output_on_edge_grids(capsys, monkeypatch, label, fmt):
+    code, out, err = _sweep_axes(capsys, monkeypatch, _EDGE_R, _EDGE_SIGMA, label, fmt)
+    assert (code, err) == (0, "")
+    assert out == _scalar_sweep_output(label, _EDGE_R, _EDGE_SIGMA, fmt)
+
+
+@pytest.mark.parametrize(
+    "r_values, sigma_values, message",
+    [
+        # r_0 fine: the first bad point in grid order is (r_0, -1)
+        pytest.param([1.0, 25.0], [0.5, -1.0], "noise strengths must be nonnegative", id="bad-sigma-then-bad-r"),
+        pytest.param([1.0, 25.0], [0.5, 1.0], "squeezing parameter must lie in [0, 20]", id="bad-r-later"),
+        pytest.param([25.0, 1.0], [0.5, -1.0], "squeezing parameter must lie in [0, 20]", id="bad-r-first"),
+        pytest.param([-0.0, 1.0], [0.0, 0.5, math.nan], "noise strengths must be finite", id="nan-sigma-later"),
+        pytest.param([1.0], [0.5, math.inf], "noise strengths must be finite", id="inf-sigma-later"),
+        pytest.param([1.0, math.nan], [0.5, math.inf], "noise strengths must be finite", id="inf-sigma-then-nan-r"),
+    ],
+)
+def test_sweep_refuses_with_the_first_bad_point_in_grid_order(capsys, monkeypatch, r_values, sigma_values, message):
+    code, out, err = _sweep_axes(capsys, monkeypatch, r_values, sigma_values)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_sweep_empty_grid_exits_1(capsys):
     code, _, err = run(capsys, "sweep", "--grid-r", "2:1:0.5", "--grid-sigma", "0:1:0.5")
     assert code == 1 and "empty" in err
@@ -383,6 +442,39 @@ def test_sweep_grid_with_unbounded_point_count_exits_2(grid_r):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "Traceback" not in proc.stderr
     assert proc.stderr.endswith("error: argument --grid-r: grid must hold a finite number of points\n")
+
+
+def test_grid_axis_point_cap():
+    assert len(cli._parse_grid(f"0:{cli._MAX_GRID_POINTS - 1}:1")) == cli._MAX_GRID_POINTS
+    with pytest.raises(argparse.ArgumentTypeError, match=f"grid must hold at most {cli._MAX_GRID_POINTS} points"):
+        cli._parse_grid(f"0:{cli._MAX_GRID_POINTS}:1")
+
+
+def _limit_address_space():
+    # a grid that gets past the cap fails fast here instead of taking the
+    # host's memory
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize(
+    "grid_r, grid_sigma, message",
+    [
+        pytest.param("0:1e9:1", "0", "error: argument --grid-r: grid must hold at most 262144 points", id="axis"),
+        pytest.param(
+            "0:5:0.001", "0:10:0.001", "error: the sweep grid holds 50015001 points, more than 262144", id="product"
+        ),
+    ],
+)
+def test_sweep_grid_over_the_point_cap_exits_2(grid_r, grid_sigma, message):
+    argv = ["sweep", "--grid-r", grid_r, "--grid-sigma", grid_sigma]
+    env = dict(_subprocess_env(), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvbound.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
+    )  # fmt: skip
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.endswith(message + "\n")
 
 
 def test_validate_passes_and_is_deterministic(capsys):
