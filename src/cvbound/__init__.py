@@ -7,10 +7,6 @@ measurement protocols, plus a CLI (``cvbound``).
 
 from .states import (
     GaussianState,
-    NoisePattern,
-    SymplecticMap,
-    add_classical_noise,
-    apply_symplectic,
     beamsplitter,
     epr_pair,
     partial_transpose,

@@ -342,6 +342,8 @@ def cmd_validate(args) -> int:
     lines: list[str] = []
     if args.state:
         code = _validate_state_file(args.state, failures, lines)
+        if code == 2:  # the file could not be loaded; the error is on stderr
+            return code
         print("\n".join(lines))
         if failures:
             print("breached invariants: " + ", ".join(failures))

@@ -2,11 +2,11 @@
 
 A quadrature combination ``H = sum_k (a_k x_k + b_k p_k)`` is stored as its
 interleaved coefficient vector ``(a_1, b_1, a_2, b_2, ...)``, the ordering of
-``quad_variance``, ``NoisePattern`` and the protocol readouts.  H generates
-the displacement ``exp(i H)``, and the displacements of two combinations with
-coefficient vectors u and v commute up to the phase ``omega = u^T Omega v``,
-Omega the symplectic form; they commute as operators exactly when omega
-vanishes.  H is called a nullifier of a state when the state has zero
+``quad_variance``, the chain-noise patterns of ``factory`` and the protocol
+readouts.  H generates the displacement ``exp(i H)``, and the displacements
+of two combinations with coefficient vectors u and v commute up to the phase
+``omega = u^T Omega v``, Omega the symplectic form; they commute as operators
+exactly when omega vanishes.  H is called a nullifier of a state when the state has zero
 variance in it; at finite squeezing the canonical constructions drive these
 variances to zero exponentially instead.
 """

@@ -1,4 +1,4 @@
-"""Covariance-matrix representation of Gaussian states and linear-optics maps.
+"""Gaussian states as covariance matrices, their symplectic spectra, and the beamsplitter matrix.
 
 Conventions used throughout the package:
 
@@ -11,7 +11,7 @@ Conventions used throughout the package:
 * mode indices are 0-based everywhere in the library (the CLI accepts the
   1-based labels used in optical diagrams and converts at the boundary).
 
-All values are immutable after construction and all operations are pure
+States are immutable after construction and all operations are pure
 functions, so states can be shared freely across threads.
 """
 
@@ -25,20 +25,15 @@ import numpy as np
 VACUUM_VAR = 0.5
 SYMMETRY_TOL = 1e-10
 PHYSICALITY_TOL = 1e-9
-SYMPLECTIC_TOL = 1e-10
 MAX_SQUEEZING = 20.0
 
 __all__ = [
     "GaussianState",
-    "SymplecticMap",
-    "NoisePattern",
     "symplectic_form",
     "vacuum_state",
     "epr_pair",
     "tensor",
     "beamsplitter",
-    "apply_symplectic",
-    "add_classical_noise",
     "partial_transpose",
     "symplectic_eigenvalues",
     "require_physical",
@@ -231,49 +226,6 @@ class GaussianState:
         return self.mean.shape[0] // 2
 
 
-@dataclass(frozen=True)
-class SymplecticMap:
-    """A linear phase-space map S with S Omega S^T = Omega."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        S = _readonly(self.matrix)
-        if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2:
-            raise ValueError("symplectic matrix must be square with even dimension")
-        omega = symplectic_form(S.shape[0] // 2)
-        if np.abs(S @ omega @ S.T - omega).max() > SYMPLECTIC_TOL * max(1.0, np.abs(S).max() ** 2):
-            raise ValueError("matrix is not symplectic")
-        object.__setattr__(self, "matrix", S)
-
-    def __matmul__(self, other: "SymplecticMap") -> "SymplecticMap":
-        return SymplecticMap(self.matrix @ other.matrix)
-
-
-@dataclass(frozen=True)
-class NoisePattern:
-    """Correlated classical displacement noise.
-
-    ``pattern`` is a signed quadrature coefficient vector of length 2n and
-    ``sigma`` the standard deviation of the Gaussian random variable driving
-    the displacement, so the covariance update is
-    ``cov += sigma**2 * outer(pattern, pattern)``.
-    """
-
-    pattern: np.ndarray
-    sigma: float
-
-    def __post_init__(self):
-        pattern = _readonly(self.pattern)
-        if pattern.ndim != 1 or pattern.shape[0] % 2:
-            raise ValueError("pattern must be a vector of length 2n")
-        if not np.any(pattern):
-            raise ValueError("pattern must be nonzero")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        object.__setattr__(self, "pattern", pattern)
-
-
 def vacuum_state(n: int) -> GaussianState:
     """The n-mode vacuum: zero mean, cov = I/2."""
     if n < 1:
@@ -309,12 +261,13 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     return GaussianState(np.concatenate([a.mean, b.mean]), cov)
 
 
-def beamsplitter(i: int, j: int, theta: float, n: int) -> SymplecticMap:
-    """Beamsplitter mixing modes i and j of an n-mode register.
+def beamsplitter(i: int, j: int, theta: float, n: int) -> np.ndarray:
+    """Symplectic (2n, 2n) matrix S of a beamsplitter mixing modes i and j of an n-mode register.
 
     Acts as x_i -> cos(theta) x_i + sin(theta) x_j,
     x_j -> -sin(theta) x_i + cos(theta) x_j, identically on p.
-    theta = pi/4 is the balanced (50:50) case.
+    theta = pi/4 is the balanced (50:50) case.  A state's moments map as
+    mean -> S mean, cov -> S cov S^T.
     """
     if i == j:
         raise ValueError("beamsplitter needs two distinct modes")
@@ -328,27 +281,7 @@ def beamsplitter(i: int, j: int, theta: float, n: int) -> SymplecticMap:
         S[a, b] = s
         S[b, a] = -s
         S[b, b] = c
-    return SymplecticMap(S)
-
-
-def apply_symplectic(state: GaussianState, smap: SymplecticMap) -> GaussianState:
-    """Gaussian-unitary action on moments: mean -> S mean, cov -> S cov S^T."""
-    S = smap.matrix
-    if S.shape[0] != 2 * state.n_modes:
-        raise ValueError("dimension mismatch between state and symplectic map")
-    return GaussianState(S @ state.mean, S @ state.cov @ S.T)
-
-
-def add_classical_noise(state: GaussianState, noise: NoisePattern) -> GaussianState:
-    """Mix over zero-mean Gaussian displacements along ``noise.pattern``.
-
-    The mean is unchanged and cov gains the rank-1 term
-    sigma^2 * pattern pattern^T.
-    """
-    if noise.pattern.shape[0] != 2 * state.n_modes:
-        raise ValueError("noise pattern length does not match the state")
-    cov = state.cov + noise.sigma**2 * np.outer(noise.pattern, noise.pattern)
-    return GaussianState(state.mean, cov)
+    return S
 
 
 def partial_transpose(state: GaussianState | np.ndarray, flip: Iterable[int]) -> np.ndarray:
@@ -384,25 +317,21 @@ def quad_variance(state: GaussianState, coeffs: np.ndarray) -> float:
 _SAMPLE_CHUNK = 1 << 16
 
 
-def sample_oracle(state, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo moment estimator, the cross-validation oracle for tests.
+def sample_oracle(state: GaussianState, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo moment estimator, the cross-validation oracle for tests and ``validate``.
 
     Draws ``count`` samples from the multivariate normal with the state's
     moments and returns (empirical mean, empirical covariance with ddof=1).
-    Accepts a GaussianState or a (mean, cov) pair.  Sampling is chunked with
-    a fixed chunk size, so a fixed seed gives bit-identical output across
+    The state's covariance passed the physicality check at construction, so
+    it is positive definite up to round-off.  Sampling is chunked with a
+    fixed chunk size, so a fixed seed gives bit-identical output across
     runs; empirical moments converge to the analytic ones at O(1/sqrt(count)).
     """
     if count < 2:
         raise ValueError("need at least two samples")
-    if isinstance(state, GaussianState):
-        mean, cov = state.mean, state.cov
-    else:
-        mean, cov = (np.asarray(a, dtype=float) for a in state)
+    mean, cov = state.mean, state.cov
     d = mean.shape[0]
     w, v = np.linalg.eigh(cov)
-    if w.min() < -1e-10 * max(1.0, abs(w.max())):
-        raise ValueError("covariance matrix must be positive semidefinite")
     factor = v * np.sqrt(np.clip(w, 0.0, None))
     rng = np.random.default_rng(seed)
     total = np.zeros(d)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from cvbound.states import GaussianState
+
 
 def brute_variance(cov, coeffs):
     """Independent quadratic-form oracle: explicit double loop."""
@@ -17,6 +19,16 @@ def two_mode_symplectic_eigs(V):
     delta = np.linalg.det(A) + np.linalg.det(B) + 2 * np.linalg.det(C)
     disc = np.sqrt(delta**2 - 4 * np.linalg.det(V))
     return np.sort(np.sqrt([(delta - disc) / 2, (delta + disc) / 2]))
+
+
+def conjugated(state, S):
+    """The state after the linear map S: mean -> S mean, cov -> S cov S^T."""
+    return GaussianState(S @ state.mean, S @ state.cov @ S.T)
+
+
+def with_noise(state, pattern, sigma):
+    """The state mixed over Gaussian displacements along ``pattern``: cov gains sigma^2 p p^T."""
+    return GaussianState(state.mean, state.cov + sigma**2 * np.outer(pattern, pattern))
 
 
 @pytest.fixture

@@ -32,8 +32,10 @@ from cvbound.stabilizer import (
     symplectic_phase,
     x_sum_nullifier,
 )
-from cvbound.states import NoisePattern, add_classical_noise, epr_pair, sample_oracle, tensor
+from cvbound.states import epr_pair, sample_oracle, tensor
 from cvbound.factory import GROUP_12_34
+
+from conftest import with_noise
 
 
 @contextmanager
@@ -139,9 +141,7 @@ def test_criterion_6_two_mode_noise_boundary():
     with criterion(6, "witness reaches exactly 2 at the analytic noise-variance floor", 1.0):
         for r in (0.5, 1.0, 2.0):
             sigma = np.sqrt(duan_threshold_sigma_sq(r))
-            noisy = add_classical_noise(
-                epr_pair(r), NoisePattern(np.array([1.0, 0.0, 1.0, 0.0]), sigma)
-            )
+            noisy = with_noise(epr_pair(r), np.array([1.0, 0.0, 1.0, 0.0]), sigma)
             assert abs(duan_value(noisy, 0, 1, +1) - 2.0) <= 1e-12
 
 

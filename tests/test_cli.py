@@ -176,7 +176,7 @@ def test_non_finite_state_file_exits_2(tmp_path, capsys, where, command, prefix)
         code, out, err = run(capsys, command, "--state", path)
     assert code == 2
     assert err == f"{prefix}state object has non-finite entries in {where}\n"
-    assert "nan" not in out
+    assert out == ""
 
 
 def test_sep_check_from_state_file(tmp_path, capsys):
@@ -310,6 +310,31 @@ def test_non_finite_noise_strength_exits_2(capsys, argv, prefix, value):
     assert code == 2
     assert err == f"{prefix}noise strengths must be finite\n"
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        pytest.param(["sweep", "--grid-r", "1", "--grid-sigma"], "error: ", id="sweep"),
+        pytest.param(["sep-check", "--r", "1", "--sigma"], "error: malformed state spec: ", id="sep-check"),
+        pytest.param(["build", "--sigma-x"], "error: malformed state spec: ", id="build"),
+        pytest.param(["unlock", "--pair", "3,4", "--sigma-p"], "error: malformed state spec: ", id="unlock"),
+    ],
+)
+def test_noise_strength_whose_square_overflows_exits_2(capsys, argv, prefix):
+    # sigma**2 would overflow a float: before the cap this ended in an OverflowError
+    code, out, err = run(capsys, *argv, "1e160")
+    assert (code, out) == (2, "")
+    # the whole of stderr is the one-line error, so no traceback
+    assert err == f"{prefix}noise strengths must be at most sqrt(largest float) = 1.34078079299e+154\n"
+
+
+def test_pair_count_over_the_cap_exits_2_before_building(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    code, out, err = run(capsys, "build", "--pairs", "513", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: malformed state spec: n_pairs must be at most 512: the state takes memory quadratic in n_pairs\n"
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(

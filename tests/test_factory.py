@@ -7,6 +7,8 @@ from cvbound.factory import (
     GROUP_12_34,
     GROUP_13_24,
     GROUP_14_23,
+    MAX_PAIRS,
+    MAX_SIGMA,
     BoundStateSpec,
     equivalent_construction,
     smolin_cv_2n,
@@ -24,8 +26,6 @@ from cvbound.stabilizer import (
 )
 from cvbound.states import (
     GaussianState,
-    NoisePattern,
-    add_classical_noise,
     beamsplitter,
     epr_pair,
     sample_oracle,
@@ -33,8 +33,10 @@ from cvbound.states import (
     tensor,
 )
 
+from conftest import with_noise
 
-def chain_noise_patterns(pairs, sigma_x: float, sigma_p: float, n_modes: int) -> list[NoisePattern]:
+
+def chain_noise_patterns(pairs, sigma_x: float, sigma_p: float, n_modes: int) -> list[tuple[np.ndarray, float]]:
     """Dense nearest-neighbour pair-chain patterns, the oracle for the builder's supports.
 
     Pattern k puts x-signs +1 on the modes of pairs[k] and -1 on pairs[k+1];
@@ -51,18 +53,18 @@ def chain_noise_patterns(pairs, sigma_x: float, sigma_p: float, n_modes: int) ->
         for m in pairs[k + 1]:
             xpat[2 * m] = -1.0
             ppat[2 * m + 1] = +parity_sign(m)
-        patterns += [NoisePattern(xpat, sigma_x), NoisePattern(ppat, sigma_p)]
+        patterns += [(xpat, sigma_x), (ppat, sigma_p)]
     return patterns
 
 
 def dense_chain_cov(spec: BoundStateSpec) -> np.ndarray:
-    """``tensor(epr_pair)`` over the pairs, then ``add_classical_noise`` per chain pattern."""
+    """``tensor(epr_pair)`` over the pairs, then ``with_noise`` per chain pattern."""
     state = epr_pair(spec.r)
     for _ in range(spec.n_pairs - 1):
         state = tensor(state, epr_pair(spec.r))
     pairs = [(2 * k, 2 * k + 1) for k in range(spec.n_pairs)]
-    for noise in chain_noise_patterns(pairs, spec.sigma_x, spec.sigma_p, spec.n_modes):
-        state = add_classical_noise(state, noise)
+    for pattern, sigma in chain_noise_patterns(pairs, spec.sigma_x, spec.sigma_p, spec.n_modes):
+        state = with_noise(state, pattern, sigma)
     return state.cov
 
 
@@ -77,6 +79,9 @@ def test_spec_validation():
     for bad in (2.5, np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="n_pairs must be an integer >= 2"):
             BoundStateSpec(n_pairs=bad)
+    assert BoundStateSpec(MAX_PAIRS).n_pairs == 512
+    with pytest.raises(ValueError, match="n_pairs must be at most 512: the state takes memory quadratic"):
+        BoundStateSpec(513)
     with pytest.raises(ValueError):
         BoundStateSpec(r=-0.5)
     with pytest.raises(ValueError):
@@ -87,6 +92,13 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="noise strengths must be finite"):
             BoundStateSpec(sigma_x=bad)
         with pytest.raises(ValueError, match="noise strengths must be finite"):
+            BoundStateSpec(sigma_p=bad)
+    # sigma**2 is the largest finite float at the cap and overflows one float above it
+    assert BoundStateSpec(sigma_x=MAX_SIGMA, sigma_p=MAX_SIGMA).sigma_x**2 < np.inf
+    for bad in (np.nextafter(MAX_SIGMA, np.inf), 1e160):
+        with pytest.raises(ValueError, match=r"noise strengths must be at most sqrt\(largest float\) = 1.34078079299e\+154"):
+            BoundStateSpec(sigma_x=bad)
+        with pytest.raises(ValueError, match="noise strengths must be at most"):
             BoundStateSpec(sigma_p=bad)
     spec = BoundStateSpec.from_dict({"n_pairs": 3, "r": 0.5, "sigma_x": 1, "sigma_p": 2})
     assert spec.n_modes == 6
@@ -234,9 +246,9 @@ def test_chain_patterns_orthogonal_to_nullifiers():
         pairs = [(2 * k, 2 * k + 1) for k in range(n_pairs)]
         h1 = x_sum_nullifier(n).coeffs
         h2 = p_alternating_nullifier(n).coeffs
-        for noise in chain_noise_patterns(pairs, 1.0, 1.0, n):
-            assert abs(noise.pattern @ h1) == 0.0
-            assert abs(noise.pattern @ h2) == 0.0
+        for pattern, _ in chain_noise_patterns(pairs, 1.0, 1.0, n):
+            assert abs(pattern @ h1) == 0.0
+            assert abs(pattern @ h2) == 0.0
 
 
 @given(
@@ -342,17 +354,17 @@ def regrouped_reference(spec: BoundStateSpec, variant) -> np.ndarray:
     base_x, base_p = float(variant.sigma_x_prime), float(variant.sigma_p_prime)
     noises = chain_noise_patterns(GROUP_14_23.subsets, base_x, base_p, 4)
     noises += chain_noise_patterns(GROUP_12_34.subsets, variant.residual_sigma_x, variant.residual_sigma_p, 4)
-    for noise in noises:
-        state = add_classical_noise(state, noise)
+    for pattern, sigma in noises:
+        state = with_noise(state, pattern, sigma)
     return state.cov
 
 
 def factorized_reference(spec: BoundStateSpec, variant) -> np.ndarray:
     """Dense {0,2 | 1,3} recipe: a clean pair, a doubly-noised pair, then the party-local beamsplitters."""
-    noisy = add_classical_noise(epr_pair(spec.r), NoisePattern(np.array([1.0, 0, 1, 0]), variant.sigma_x_prime))
-    noisy = add_classical_noise(noisy, NoisePattern(np.array([0, 1.0, 0, -1]), variant.sigma_p_prime))
+    noisy = with_noise(epr_pair(spec.r), np.array([1.0, 0, 1, 0]), variant.sigma_x_prime)
+    noisy = with_noise(noisy, np.array([0, 1.0, 0, -1]), variant.sigma_p_prime)
     slots = tensor(epr_pair(spec.r), noisy).cov
-    unmix = (beamsplitter(0, 2, -np.pi / 4, 4) @ beamsplitter(1, 3, -np.pi / 4, 4)).matrix
+    unmix = beamsplitter(0, 2, -np.pi / 4, 4) @ beamsplitter(1, 3, -np.pi / 4, 4)
     return unmix @ slots @ unmix.T
 
 

@@ -18,6 +18,8 @@ from cvbound.states import (
     tensor,
 )
 
+from conftest import conjugated
+
 ALLOWED_PAIRS = [(0, 3), (1, 2), (0, 1), (2, 3)]
 FORBIDDEN_PAIRS = [(0, 2), (1, 3)]
 
@@ -73,9 +75,9 @@ def test_bell_measure_feedforward_noise_dominates_conditioning():
     # the unit-gain ensemble is the conditioned state plus the broadcast
     # residue, so it can never beat plain conditioning
     state = smolin_cv_four(BoundStateSpec(2, 1.0, 1.0, 1.0))
-    from cvbound.states import apply_symplectic, beamsplitter
+    from cvbound.states import beamsplitter
 
-    mixed = apply_symplectic(state, beamsplitter(0, 3, np.pi / 4, 4))
+    mixed = conjugated(state, beamsplitter(0, 3, np.pi / 4, 4))
     conditioned = schur_conditioned(mixed.cov, [7, 0])  # p of mode 3, x of mode 0
     ensemble = bell_measure(state, 0, 3)
     diff = ensemble.cov - conditioned

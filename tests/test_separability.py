@@ -22,13 +22,13 @@ from cvbound.separability import (
     ppt_verdict,
 )
 from cvbound.states import (
-    NoisePattern,
-    add_classical_noise,
     epr_pair,
     quad_variance,
     tensor,
     vacuum_state,
 )
+
+from conftest import with_noise
 
 EPR_SPLIT = Bipartition((0,), (1,))
 
@@ -114,9 +114,7 @@ def test_duan_equals_quad_variance_combination():
 
 def test_duan_with_common_mode_noise():
     r, sigma = 1.0, 0.9
-    noisy = add_classical_noise(
-        epr_pair(r), NoisePattern(np.array([1.0, 0.0, 1.0, 0.0]), sigma)
-    )
+    noisy = with_noise(epr_pair(r), np.array([1.0, 0.0, 1.0, 0.0]), sigma)
     assert duan_value(noisy, 0, 1, +1) == pytest.approx(
         2 * np.exp(-2 * r) + 4 * sigma**2, abs=1e-12
     )
@@ -134,9 +132,7 @@ def test_duan_threshold_formula():
 def test_duan_boundary_exact(r):
     # noise variance at the threshold drives the witness exactly to the bound
     sigma = np.sqrt(duan_threshold_sigma_sq(r))
-    noisy = add_classical_noise(
-        epr_pair(r), NoisePattern(np.array([1.0, 0.0, 1.0, 0.0]), sigma)
-    )
+    noisy = with_noise(epr_pair(r), np.array([1.0, 0.0, 1.0, 0.0]), sigma)
     assert duan_value(noisy, 0, 1, +1) == pytest.approx(2.0, abs=1e-12)
 
 
