@@ -5,6 +5,12 @@ validate.  Mode labels on the command line are 1-based (matching the optical
 diagrams); the library API underneath is 0-based.  Exit codes: 0 success,
 1 validation or verdict failure, 2 I/O or argument error.  All numeric output
 is printed with 12 significant digits.
+
+Built ``sep-check`` (no ``--state``), ``nullifiers``, ``unlock`` and
+``superactivate`` print closed forms from :mod:`cvbound.exact` and never load
+numpy.  ``build``, ``sweep``, ``validate`` and ``sep-check --state`` work on
+covariance matrices; the numpy-backed modules below are lazy (see the
+package docstring), so only those commands execute them.
 """
 
 from __future__ import annotations
@@ -13,12 +19,10 @@ import argparse
 import functools
 import itertools
 import json
-import operator
+import math
 import sys
 
-import numpy as np
-
-from . import factory, protocols, separability, stabilizer, states
+from . import exact, factory, protocols, separability, stabilizer, states
 
 FMT = "{:.12g}"
 
@@ -56,12 +60,13 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError("grid step must be positive")
     if b < a:
         return []  # empty grid; the sweep command reports it as exit 1
-    count = np.floor((b - a) / step + 1 + 1e-9)
-    if not np.isfinite(count):
+    count = (b - a) / step + 1 + 1e-9
+    if not math.isfinite(count):  # checked first: math.floor raises on inf and NaN
         raise argparse.ArgumentTypeError("grid must hold a finite number of points")
+    count = math.floor(count)
     if count > _MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(f"grid must hold at most {_MAX_GRID_POINTS} points")
-    return [a + k * step for k in range(int(count))]
+    return [a + k * step for k in range(count)]
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
@@ -73,7 +78,7 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="JSON file with n_pairs/r/sigma_x/sigma_p (flags override)")
 
 
-def _spec_from_args(args) -> factory.BoundStateSpec:
+def _spec_from_args(args) -> exact.BoundStateSpec:
     base = {"n_pairs": 2, "r": 1.0, "sigma_x": 1.0, "sigma_p": 1.0}
     if args.config:
         with open(args.config) as fh:
@@ -91,7 +96,7 @@ def _spec_from_args(args) -> factory.BoundStateSpec:
         base["sigma_p"] = args.sigma_p
     if args.r is not None:
         base["r"] = args.r
-    return factory.BoundStateSpec.from_dict(base)
+    return exact.BoundStateSpec.from_dict(base)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -127,23 +132,25 @@ def cmd_build(args) -> int:
 
 def cmd_nullifiers(args) -> int:
     spec = _spec_from_args(args)
-    state = factory.smolin_cv_2n(spec)
     n = spec.n_modes
-    h1 = stabilizer.x_sum_nullifier(n)
-    h2 = stabilizer.p_alternating_nullifier(n)
+    var_x, var_p = exact.nullifier_variances(spec)
     report = {
         "n_modes": n,
-        "x_sum_nullifier": dict(h1.to_dict(), variance=stabilizer.nullifier_variance(state, h1)),
-        "p_alternating_nullifier": dict(h2.to_dict(), variance=stabilizer.nullifier_variance(state, h2)),
-        "expected_variance": spec.n_pairs * float(np.exp(-2 * spec.r)),
+        "x_sum_nullifier": {"ordering": "xp-interleaved", "coeffs": exact.x_sum_coeffs(n), "variance": var_x},
+        "p_alternating_nullifier": {
+            "ordering": "xp-interleaved",
+            "coeffs": exact.p_alternating_coeffs(n),
+            "variance": var_p,
+        },
+        "expected_variance": spec.n_pairs * math.exp(-2 * spec.r),
     }
     if spec.n_pairs == 2:
         tables = {}
-        for label, part in separability.FOUR_MODE_BIPARTITIONS.items():
-            table = stabilizer.partition_commutation_table([h1, h2], part)
+        for label, sides in exact.FOUR_MODE_CUTS.items():
+            table = [exact.commutation_table(side) for side in sides]
             tables[label] = {
-                "all_local_commuting": stabilizer.all_local_commuting(table),
-                "table": table.tolist(),
+                "all_local_commuting": not any(v for side in table for row in side for v in row),
+                "table": table,
             }
         report["partition_commutation"] = tables
     _emit(_json_dump(report), args.out)
@@ -180,39 +187,29 @@ def cmd_sep_check(args) -> int:
         if state.n_modes != 4:
             print("error: sep-check needs a four-mode state", file=sys.stderr)
             return 2
-        spec = None
+        rows = []
+        for label, bp in separability.FOUR_MODE_BIPARTITIONS.items():
+            (nu_min,), (ppt,), (log_neg,), (duan,) = separability.cut_diagnostics(state.cov[None], bp)
+            row = {"bipartition": label, "nu_min": float(nu_min), "log_neg": float(log_neg), "duan": float(duan)}
+            rows.append(dict(row, verdict=_combined_verdict(ppt, False)))
+        footer = None
     else:
         spec = _spec_from_args(args)
         if spec.n_pairs != 2:
             print("error: sep-check covers the four-mode bipartitions", file=sys.stderr)
             return 2
-        state = factory.smolin_cv_four(spec)
-
-    rows = []
-    for label, bp in separability.FOUR_MODE_BIPARTITIONS.items():
-        (ppt_v,), log_neg, duan = separability.cut_diagnostics(state.cov[None], bp)
-        by_construction = spec is not None and separability._construction_separable(
-            label, spec.r, float(min(spec.sigma_x, spec.sigma_p) ** 2)
-        )
-        rows.append(
-            {
-                "bipartition": label,
-                "nu_min": ppt_v.witness_value,
-                "log_neg": float(log_neg[0]),
-                "duan": float(duan[0]),
-                "verdict": _combined_verdict(ppt_v.verdict, by_construction),
-            }
-        )
-    footer = None
-    if spec is not None:
+        rows = []
+        for label in exact.FOUR_MODE_CUTS:
+            row = exact.cut_report(spec, label)
+            by_construction = exact.construction_separable(label, spec.r, min(spec.sigma_x, spec.sigma_p) ** 2)
+            verdict = _combined_verdict(row.pop("ppt"), by_construction)
+            rows.append({"bipartition": label, **row, "verdict": verdict})
         # the PPT transition of the noise-dependent cut, printed beside the
         # analytic two-mode witness floor; the two are not equal and no
         # equality is claimed
-        sigma_star = separability.ppt_threshold_sigma(spec.r)
-        floor = float(np.sqrt(separability.duan_threshold_sigma_sq(spec.r)))
         footer = {
-            "ppt_transition_sigma_14_23": sigma_star,
-            "duan_noise_floor_sigma": floor,
+            "ppt_transition_sigma_14_23": exact.ppt_threshold_sigma(spec.r),
+            "duan_noise_floor_sigma": math.sqrt(exact.duan_threshold_sigma_sq(spec.r)),
         }
     if args.format == "json":
         payload = {"rows": rows}
@@ -244,6 +241,8 @@ _SWEEP_ROW = "{:.12g},{:.12g},{},{:.12g},{:.12g},{:.12g},{},{:.12g}\r\n"
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+
     r_values = args.grid_r
     sigma_values = args.grid_sigma
     if not r_values or not sigma_values:
@@ -258,34 +257,33 @@ def cmd_sweep(args) -> int:
     # alone; so checking (r_0, sigma) for every sigma, then (r, sigma_0) for
     # every r, raises the message of the first bad point in grid order
     for sigma in sigma_values:
-        factory.BoundStateSpec(2, r_values[0], sigma, sigma)
+        exact.BoundStateSpec(2, r_values[0], sigma, sigma)
     for r in r_values:
-        factory.BoundStateSpec(2, r, sigma_values[0], sigma_values[0])
+        exact.BoundStateSpec(2, r, sigma_values[0], sigma_values[0])
     r_column = np.repeat(r_values, n_sigma)
     sigma_column = np.tile(sigma_values, n_r)
     covs = factory.smolin_cv_covariances(2, r_column, sigma_column, sigma_column)
     states.require_physical(covs)
-    ppt_vs, log_negs, duans = separability.cut_diagnostics(covs, separability.named_bipartition(label))
+    nu_mins, ppt_verdicts, log_negs, duans = separability.cut_diagnostics(covs, separability.named_bipartition(label))
     sigma_sq = np.array([sigma**2 for sigma in sigma_values])
     by_construction = np.empty((n_r, n_sigma), dtype=bool)
     for row, r in zip(by_construction, r_values):
-        row[...] = separability._construction_separable(label, r, sigma_sq)
+        row[...] = exact.construction_separable(label, r, sigma_sq)
     # _combined_verdict over its whole domain, then one lookup per point
     short = {
         (ppt, cons): SWEEP_VERDICTS[_combined_verdict(ppt, cons)]
         for ppt in ("entangled", "separable", "inconclusive")
         for cons in (False, True)
     }
-    nu_mins, ppt_verdicts = zip(*map(operator.attrgetter("witness_value", "verdict"), ppt_vs))
     columns = (
         r_column.tolist(),
         sigma_column.tolist(),
         itertools.repeat(label, n_r * n_sigma),
-        nu_mins,
+        nu_mins.tolist(),
         log_negs.tolist(),
         duans.tolist(),
         list(map(short.__getitem__, zip(ppt_verdicts, by_construction.ravel().tolist()))),
-        np.repeat([separability.duan_threshold_sigma_sq(r) for r in r_values], n_sigma).tolist(),
+        np.repeat([exact.duan_threshold_sigma_sq(r) for r in r_values], n_sigma).tolist(),
     )
     if args.format == "json":
         _emit(_json_dump([dict(zip(SWEEP_COLUMNS, row)) for row in zip(*columns)]), args.out)
@@ -297,9 +295,8 @@ def cmd_sweep(args) -> int:
 def cmd_unlock(args) -> int:
     spec = _spec_from_args(args)
     i, j = args.pair
-    report = protocols.unlock(spec, (i - 1, j - 1))
-    payload = report.to_dict()
-    payload["survivors"] = [m + 1 for m in report.surviving_modes]  # 1-based labels
+    payload = exact.unlock_report(spec, (i - 1, j - 1))
+    payload["survivors"] = [m + 1 for m in payload["survivors"]]  # 1-based labels
     payload["params"]["measured_pair"] = [i, j]
     _emit(_json_dump(payload), args.out)
     return 0
@@ -307,8 +304,7 @@ def cmd_unlock(args) -> int:
 
 def cmd_superactivate(args) -> int:
     spec = _spec_from_args(args)
-    report = protocols.superactivate(spec)
-    _emit(_json_dump(report.to_dict()), args.out)
+    _emit(_json_dump(exact.superactivation_report(spec)), args.out)
     return 0
 
 
@@ -319,6 +315,8 @@ def _check(name: str, ok: bool, detail: str, failures: list[str], lines: list[st
 
 
 def _validate_state_file(path: str, failures: list[str], lines: list[str]) -> int:
+    import numpy as np
+
     try:
         with open(path) as fh:
             _, cov = states.moments_from_dict(json.load(fh))
@@ -349,11 +347,13 @@ def cmd_validate(args) -> int:
             print("breached invariants: " + ", ".join(failures))
         return code
 
+    import numpy as np
+
     count = args.count
     seed = args.seed
     expected = 2 * np.exp(-2.0)
 
-    spec = factory.BoundStateSpec(n_pairs=2, r=1.0, sigma_x=1.0, sigma_p=1.0)
+    spec = exact.BoundStateSpec(n_pairs=2, r=1.0, sigma_x=1.0, sigma_p=1.0)
     state = factory.smolin_cv_four(spec)
 
     # sampling oracle against analytic moments, 5 standard errors per entry
@@ -368,7 +368,7 @@ def cmd_validate(args) -> int:
     h2 = stabilizer.p_alternating_nullifier(4)
     vals = []
     for sigma in (0.0, 1.0, 10.0):
-        st = factory.smolin_cv_four(factory.BoundStateSpec(2, 1.0, sigma, sigma))
+        st = factory.smolin_cv_four(exact.BoundStateSpec(2, 1.0, sigma, sigma))
         vals.extend([stabilizer.nullifier_variance(st, h1), stabilizer.nullifier_variance(st, h2)])
     ok = all(abs(v - expected) < 1e-10 for v in vals)
     _check("nullifier-variances", ok, f"all equal {_fmt(expected)} across sigma in {{0,1,10}}", failures, lines)
@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="scan (r, sigma) and emit separability diagnostics")
     p_sweep.add_argument("--grid-r", type=_parse_grid, required=True, help="'a:b:step' or a single value")
     p_sweep.add_argument("--grid-sigma", type=_parse_grid, required=True)
-    p_sweep.add_argument("--bipartition", choices=sorted(separability.FOUR_MODE_BIPARTITIONS), default="14-23")
+    p_sweep.add_argument("--bipartition", choices=sorted(exact.FOUR_MODE_CUTS), default="14-23")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; rows are computed in-process")
     p_sweep.add_argument("--out", default=None)

@@ -35,24 +35,18 @@ resources placed on a different pairing of the four modes:
 from __future__ import annotations
 
 import functools
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .stabilizer import Bipartition, Partition, parity_sign
-from .states import MAX_SQUEEZING, GaussianState, beamsplitter
+# the spec and its caps live in the numpy-free exact module and are re-exported here
+from .exact import FOUR_MODE_CUTS, MAX_PAIRS, MAX_SIGMA, BoundStateSpec, parity_sign
+from .stabilizer import Bipartition, Partition
+from .states import GaussianState, beamsplitter
 
-# building the (4n, 4n) state of n pairs peaks at 578 MB for 512 pairs and
-# 2.1 GB for 1024; the largest count in use is 32
-MAX_PAIRS = 512
-# the constructors square sigma as a Python float, which overflows above this
-MAX_SIGMA = math.sqrt(sys.float_info.max)
-
-GROUP_12_34 = Bipartition((0, 1), (2, 3))
-GROUP_14_23 = Bipartition((0, 3), (1, 2))
-GROUP_13_24 = Bipartition((0, 2), (1, 3))
+GROUP_12_34 = Bipartition(*FOUR_MODE_CUTS["12-34"])
+GROUP_14_23 = Bipartition(*FOUR_MODE_CUTS["14-23"])
+GROUP_13_24 = Bipartition(*FOUR_MODE_CUTS["13-24"])
 
 __all__ = [
     "BoundStateSpec",
@@ -65,58 +59,6 @@ __all__ = [
     "smolin_cv_covariances",
     "equivalent_construction",
 ]
-
-
-@dataclass(frozen=True)
-class BoundStateSpec:
-    """Parameters of the bound-state family: pair count, squeezing, noise."""
-
-    n_pairs: int = 2
-    r: float = 1.0
-    sigma_x: float = 1.0
-    sigma_p: float = 1.0
-
-    def __post_init__(self):
-        if not float(self.n_pairs).is_integer() or int(self.n_pairs) != self.n_pairs or self.n_pairs < 2:
-            raise ValueError("n_pairs must be an integer >= 2")
-        object.__setattr__(self, "n_pairs", int(self.n_pairs))  # 2.0 becomes 2, as range() needs
-        if self.n_pairs > MAX_PAIRS:
-            raise ValueError(f"n_pairs must be at most {MAX_PAIRS}: the state takes memory quadratic in n_pairs")
-        if not 0.0 <= self.r <= MAX_SQUEEZING:
-            raise ValueError(f"squeezing parameter must lie in [0, {MAX_SQUEEZING:g}]")
-        if self.sigma_x < 0 or self.sigma_p < 0:
-            raise ValueError("noise strengths must be nonnegative")
-        if not (self.sigma_x < np.inf and self.sigma_p < np.inf):  # NaN compares False too
-            raise ValueError("noise strengths must be finite")
-        if max(self.sigma_x, self.sigma_p) > MAX_SIGMA:
-            raise ValueError(f"noise strengths must be at most sqrt(largest float) = {MAX_SIGMA:.12g}")
-
-    @property
-    def n_modes(self) -> int:
-        return 2 * self.n_pairs
-
-    def to_dict(self) -> dict:
-        return {
-            "n_pairs": self.n_pairs,
-            "r": self.r,
-            "sigma_x": self.sigma_x,
-            "sigma_p": self.sigma_p,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BoundStateSpec":
-        try:
-            n_pairs = data["n_pairs"]  # int() alone would truncate 2.9; the string "3" stands for 3
-            if not isinstance(n_pairs, str) and int(n_pairs) != n_pairs:
-                raise ValueError("n_pairs must be an integer >= 2")
-            return cls(
-                n_pairs=int(n_pairs),
-                r=float(data["r"]),
-                sigma_x=float(data["sigma_x"]),
-                sigma_p=float(data["sigma_p"]),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"malformed state spec: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -273,7 +215,15 @@ def _factorized_regrouping(spec: BoundStateSpec) -> tuple[ConstructionVariant, G
     # into a product of a noise-free squeezed pair (slots 0,1) and a pair
     # carrying doubled-variance displacement noise (slots 2,3)
     slots = _epr_pairs_cov(spec.r, [(0, 1), (2, 3)], 4)
-    noise = [_squares(np.sqrt(2) * sigma) for sigma in (spec.sigma_x, spec.sigma_p)]
+    noise = []
+    for name, sigma in (("sigma_x", spec.sigma_x), ("sigma_p", spec.sigma_p)):
+        try:
+            noise.append(_squares(np.sqrt(2) * sigma))
+        except OverflowError:  # from Python's **, for sigma above about 9.48e153
+            raise ValueError(
+                f"the 13-24 factorized construction needs the doubled variance 2 {name}^2, "
+                f"which overflows a float at {name} = {sigma:.12g}"
+            ) from None
     # a chain link to no pair: x-signs +1 on both modes of the noisy pair
     slots = _add_noise(slots, _chain_supports(((2, 3), ()), 4), noise)
     unmix = beamsplitter(0, 2, -np.pi / 4, 4) @ beamsplitter(1, 3, -np.pi / 4, 4)

@@ -13,6 +13,11 @@ the positive residue of the gain mismatch, hence every conditioned state is
 physical.  Unit gain is what makes the corrected survivor combinations equal
 the global nullifiers exactly, which is why the protocol witnesses come out at
 2 exp(-2r) per copy independent of the classical noise.
+
+:func:`unlock` and :func:`superactivate` take their witnesses from the closed
+forms of ``exact.unlock_report`` and ``exact.superactivation_report``, which
+the CLI prints; the conditioned state they also return is built with the
+matrix map above.
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exact import RECEIVER_MODE, SUPERACTIVATION_PAIRS, feedforward_p_gain, superactivation_report, unlock_report
 from .factory import BoundStateSpec, smolin_cv_four
-from .separability import _duan_coeffs, duan_value, duan_verdict
-from .stabilizer import parity_sign
-from .states import GaussianState, quad_variance, symplectic_form, tensor
+from .separability import _duan_coeffs
+from .states import GaussianState, symplectic_form, tensor
 
 COMMUTE_TOL = 1e-10
 
@@ -124,15 +129,15 @@ def _joint_readout(n_modes: int, pairs, target: int) -> tuple[list[np.ndarray], 
     """Readout vectors and unit-gain feedforward of joint measurements on ``pairs``.
 
     Pair (i, j) is read out as (x_i + x_j, p_i - p_j) and both outcomes go to
-    mode ``target``: x with gain 1, p with ``eps_target * eps_i`` when i and j
-    differ in mode parity (1 otherwise), so that on the canonical family the
-    corrected target reproduces the global nullifiers.  Pair by pair, x first.
+    mode ``target``: x with gain 1, p with ``exact.feedforward_p_gain``
+    (``eps_target * eps_i`` when i and j differ in mode parity, 1 otherwise),
+    so that on the canonical family the corrected target reproduces the
+    global nullifiers.  Pair by pair, x first.
     """
     combos, corrections = [], []
     for i, j in pairs:
         y1, y2 = _duan_coeffs(n_modes, i, j, +1)
-        mixed = parity_sign(i) != parity_sign(j)
-        p_gain = parity_sign(target) * parity_sign(i) if mixed else 1.0
+        p_gain = feedforward_p_gain(target, i, j)
         corrections += [(target, "x", 1.0, len(combos)), (target, "p", p_gain, len(combos) + 1)]
         combos += [y1, y2]
     return combos, corrections
@@ -159,22 +164,10 @@ def bell_measure(state: GaussianState, i: int, j: int) -> GaussianState:
     return measure_with_feedforward(state, (i, j), combos, corrections)
 
 
-def _pair_report(conditioned: GaussianState, survivors, params: dict) -> ProtocolReport:
-    wx, wp = (quad_variance(conditioned, c) for c in _duan_coeffs(2, 0, 1, +1))
-    duan_plus = wx + wp
-    duan_minus = duan_value(conditioned, 0, 1, -1)
-    duan = min(duan_plus, duan_minus)
-    return ProtocolReport(
-        surviving_modes=tuple(survivors),
-        conditioned_state=conditioned,
-        witness_sum_x=wx,
-        witness_diff_p=wp,
-        duan_plus=duan_plus,
-        duan_minus=duan_minus,
-        duan=duan,
-        entangled=duan_verdict(duan).verdict == "entangled",
-        params=params,
-    )
+def _report(fields: dict, conditioned: GaussianState) -> ProtocolReport:
+    """The report of a closed-form ``exact`` protocol dict, with the matrix-built conditioned state."""
+    witnesses = {k: v for k, v in fields.items() if k not in ("survivors", "params")}
+    return ProtocolReport(tuple(fields["survivors"]), conditioned, params=fields["params"], **witnesses)
 
 
 def unlock(spec: BoundStateSpec, measured_pair) -> ProtocolReport:
@@ -187,22 +180,8 @@ def unlock(spec: BoundStateSpec, measured_pair) -> ProtocolReport:
     cannot align the momentum correction with the alternating nullifier (the
     local restrictions fail to commute there) and establishes nothing.
     """
-    i, j = measured_pair
-    if i == j or not (0 <= i < 4 and 0 <= j < 4):
-        raise ValueError("measured pair must be two distinct modes of 0..3")
-    if spec.n_pairs != 2:
-        raise ValueError("unlocking is defined for the four-mode state")
-    state = smolin_cv_four(spec)
-    conditioned = bell_measure(state, i, j)
-    survivors = [m for m in range(4) if m not in (i, j)]
-    params = dict(spec.to_dict(), measured_pair=sorted((i, j)))
-    return _pair_report(conditioned, survivors, params)
-
-
-# measured party pairs of the two-copy protocol and the mode that receives the
-# outcomes; copy A holds modes 0..3, copy B holds modes 4..7
-_SUPERACTIVATION_PAIRS = ((0, 5), (1, 6), (2, 7))
-_RECEIVER_MODE = 3
+    fields = unlock_report(spec, measured_pair)  # checks the pair and the pair count
+    return _report(fields, bell_measure(smolin_cv_four(spec), *measured_pair))
 
 
 def superactivate(spec: BoundStateSpec) -> ProtocolReport:
@@ -217,12 +196,9 @@ def superactivate(spec: BoundStateSpec) -> ProtocolReport:
     combination is the sum of one nullifier from each copy, two independent
     terms of variance 2 exp(-2r) apiece.
     """
-    if spec.n_pairs != 2:
-        raise ValueError("superactivation is defined for the four-mode state")
+    fields = superactivation_report(spec)  # checks the pair count
     one_copy = smolin_cv_four(spec)
     state = tensor(one_copy, one_copy)
-    combos, corrections = _joint_readout(state.n_modes, _SUPERACTIVATION_PAIRS, _RECEIVER_MODE)
-    removed = sorted(m for pair in _SUPERACTIVATION_PAIRS for m in pair)
-    conditioned = measure_with_feedforward(state, removed, combos, corrections)
-    params = dict(spec.to_dict(), measured_pairs=[list(p) for p in _SUPERACTIVATION_PAIRS])
-    return _pair_report(conditioned, (3, 4), params)
+    combos, corrections = _joint_readout(state.n_modes, SUPERACTIVATION_PAIRS, RECEIVER_MODE)
+    removed = sorted(m for pair in SUPERACTIVATION_PAIRS for m in pair)
+    return _report(fields, measure_with_feedforward(state, removed, combos, corrections))

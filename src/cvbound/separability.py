@@ -18,15 +18,25 @@ violation implies entanglement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+# the tolerance, the verdict rules and the closed-form thresholds live in the
+# numpy-free exact module, which the built-state commands use without this one
+from .exact import (
+    VERDICT_TOL,
+    construction_separable,
+    duan_rule,
+    duan_threshold_sigma_sq,
+    ppt_rule,
+    ppt_threshold_sigma,
+)
 from .factory import GROUP_12_34, GROUP_13_24, GROUP_14_23, BoundStateSpec, smolin_cv_four
 from .stabilizer import Bipartition
 from .states import GaussianState, partial_transpose, quad_variance, symplectic_eigenvalues
 
-VERDICT_TOL = 1e-10
 _SEARCH_SIGMA_MAX = 10.0  # upper end of the noise bracket of ppt_threshold_search
 
 __all__ = [
@@ -138,34 +148,6 @@ def _duan_coeffs(n_modes: int, i: int, j: int, sign: int) -> tuple[np.ndarray, n
     return cx, cp
 
 
-def duan_threshold_sigma_sq(r: float) -> float:
-    """Displacement-noise variance at which the two-mode witness reaches 2.
-
-    For a squeezed pair carrying common-mode x displacements of variance v,
-    the witness reads 2 exp(-2r) + 4 v; it meets the separability bound at
-    v = (1 - exp(-2r)) / 2, the minimum noise strength the mixer must supply.
-    """
-    if r < 0:
-        raise ValueError("squeezing parameter must be nonnegative")
-    return float((1.0 - np.exp(-2.0 * r)) / 2.0)
-
-
-def ppt_threshold_sigma(r: float) -> float | None:
-    """Noise strength sqrt(sinh(2r)/4) at which the 14-23 cut turns PPT.
-
-    With sigma_x = sigma_p = sigma the four-mode state is NPT across 14-23
-    below this value and PPT from it on; it is also where the {0,3 | 1,2}
-    mixture recipe of ``factory.equivalent_construction`` becomes feasible.
-    Returns None at r = 0, where the state is PPT for every sigma.
-    :func:`ppt_threshold_search` finds the same value numerically.
-    """
-    if r < 0:
-        raise ValueError("squeezing parameter must be nonnegative")
-    if r == 0:
-        return None
-    return float(np.sqrt(np.sinh(2 * r) / 4.0))
-
-
 def ppt_threshold_search(r: float, bp: Bipartition, tol: float = 1e-6) -> float | None:
     """Noise strength at which the partial transpose across ``bp`` turns positive.
 
@@ -241,19 +223,16 @@ def ppt_verdict(state: GaussianState, bp: Bipartition) -> SeparabilityVerdict:
     return _ppt_rule(ppt_min_symplectic(state, bp), bp)
 
 
+def _one_by_one(bp: Bipartition) -> bool:
+    return len(bp.side_a) == 1 and len(bp.side_b) == 1
+
+
 def _ppt_rule(nu_min: float, bp: Bipartition) -> SeparabilityVerdict:
-    if nu_min < 0.5 - VERDICT_TOL:
-        verdict = "entangled"
-    elif len(bp.side_a) == 1 and len(bp.side_b) == 1:
-        verdict = "separable"
-    else:
-        verdict = "inconclusive"
-    return SeparabilityVerdict("ppt", verdict, nu_min, 0.5)
+    return SeparabilityVerdict("ppt", ppt_rule(nu_min, _one_by_one(bp)), nu_min, 0.5)
 
 
 def duan_verdict(value: float) -> SeparabilityVerdict:
-    verdict = "entangled" if value < 2.0 - VERDICT_TOL else "inconclusive"
-    return SeparabilityVerdict("duan", verdict, value, 2.0)
+    return SeparabilityVerdict("duan", duan_rule(value), value, 2.0)
 
 
 def construction_verdict(spec: BoundStateSpec, label: str) -> SeparabilityVerdict:
@@ -264,59 +243,40 @@ def construction_verdict(spec: BoundStateSpec, label: str) -> SeparabilityVerdic
     noise variances reach sinh(2r)/4.  Across 13-24 the factorized recipe
     contains a noise-free squeezed pair spanning the cut, so the state is
     entangled there whenever r > 0.  The verdict is "separable" exactly when
-    :func:`_construction_separable` holds.
+    ``exact.construction_separable`` holds.
     """
     if spec.n_pairs != 2:
         raise ValueError("construction verdicts are defined for the four-mode state")
     witness = float(min(spec.sigma_x, spec.sigma_p) ** 2)
-    separable = _construction_separable(label, spec.r, witness)
+    separable = construction_separable(label, spec.r, witness)
     if label == "12-34":
         return SeparabilityVerdict("construction", "separable", witness, 0.0)
     if label == "14-23":
-        floor = float(np.sinh(2 * spec.r) / 4.0)
+        floor = math.sinh(2 * spec.r) / 4.0
         return SeparabilityVerdict("construction", "separable" if separable else "inconclusive", witness, floor)
-    nu = float(np.exp(-2 * spec.r) / 2.0)
+    nu = math.exp(-2 * spec.r) / 2.0
     return SeparabilityVerdict("construction", "separable" if separable else "entangled", nu, 0.5)
 
 
-def _construction_separable(label: str, r: float, min_sigma_sq):
-    """Whether the four-mode state's own recipe is a mixture of products across ``label``.
-
-    ``r`` is a float and ``min_sigma_sq`` is min(sigma_x, sigma_p)**2, a float
-    or an array of them; the result is a bool, or on 14-23 with an array a
-    bool array of its shape.  12-34 is always a mixture of pair products,
-    14-23 is one when min_sigma_sq reaches sinh(2r)/4, and 13-24 only when
-    its noise-free pair is not entangled: e^{-2r}/2 not below 1/2 within
-    ``VERDICT_TOL``, at r = 0.
-    """
-    if label == "12-34":
-        return True
-    if label == "14-23":
-        return min_sigma_sq >= float(np.sinh(2 * r) / 4.0)
-    if label == "13-24":
-        return not float(np.exp(-2 * r) / 2.0) < 0.5 - VERDICT_TOL
-    raise ValueError(f"unknown bipartition label {label!r}")
-
-
-def cut_diagnostics(
-    covs: np.ndarray, bp: Bipartition
-) -> tuple[list[SeparabilityVerdict], np.ndarray, np.ndarray]:
-    """PPT verdicts, log-negativities and smallest cross two-mode witnesses of a stack.
+def cut_diagnostics(covs: np.ndarray, bp: Bipartition) -> tuple[np.ndarray, list[str], np.ndarray, np.ndarray]:
+    """PPT spectra minima and verdicts, log-negativities and smallest cross two-mode witnesses of a stack.
 
     ``covs`` is an (N, 2n, 2n) stack of covariance matrices that already
     passed :func:`states.require_physical`.  One partial-transpose spectrum
-    per matrix gives both the PPT verdict and the log-negativity; the
-    two-mode witnesses ``duan_value(a, b, +/-1)`` over every a in
+    per matrix gives nu_min, the PPT verdict string and the log-negativity;
+    the two-mode witnesses ``duan_value(a, b, +/-1)`` over every a in
     ``bp.side_a`` and b in ``bp.side_b`` are quadratic forms over the whole
-    stack.  Entry k equals, bit for bit, what :func:`ppt_verdict`,
-    :func:`log_negativity` and the minimum of :func:`duan_value` give for
-    matrix k.
+    stack.  Entry k equals, bit for bit, the ``witness_value`` and
+    ``verdict`` of :func:`ppt_verdict`, :func:`log_negativity` and the
+    minimum of :func:`duan_value` for matrix k.
     """
     covs = np.asarray(covs, dtype=float)
     if covs.ndim != 3 or covs.shape[1:] != (2 * bp.n_modes, 2 * bp.n_modes):
         raise ValueError("expected an (N, 2n, 2n) stack matching the bipartition")
     nus = symplectic_eigenvalues(partial_transpose(covs, bp.side_b))
-    verdicts = [_ppt_rule(nu, bp) for nu in nus.min(axis=-1).tolist()]
+    nu_mins = nus.min(axis=-1)
+    one_by_one = _one_by_one(bp)
+    verdicts = [ppt_rule(nu, one_by_one) for nu in nu_mins.tolist()]
     # rows alternate x and p coefficients of each witness; each coefficient
     # row has two nonzero +/-1 entries, so every sum below rounds once, as in
     # quad_variance
@@ -325,4 +285,4 @@ def cut_diagnostics(
     )
     forms = ((coeffs @ covs) * coeffs).sum(axis=-1)
     duan = (forms[:, 0::2] + forms[:, 1::2]).min(axis=-1)
-    return verdicts, _log_neg(nus), duan
+    return nu_mins, verdicts, _log_neg(nus), duan

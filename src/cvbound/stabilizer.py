@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# parity_sign is defined in the numpy-free exact module and re-exported here
+from .exact import p_alternating_coeffs, parity_sign, x_sum_coeffs
 from .states import GaussianState, quad_variance, symplectic_form
 
 RANK_TOL = 1e-9
@@ -166,15 +168,10 @@ def is_complete_on(gens: list[Nullifier], subset) -> bool:
 
 def x_sum_nullifier(n_modes: int) -> Nullifier:
     """x_1 + x_2 + ... + x_n, the position-sum generator."""
-    return Nullifier(np.tile([1.0, 0.0], n_modes))
-
-
-def parity_sign(m: int) -> float:
-    """Sign of p_m (0-based mode m) in the alternating momentum nullifier."""
-    return 1.0 if m % 2 == 0 else -1.0
+    return Nullifier(x_sum_coeffs(n_modes))
 
 
 def p_alternating_nullifier(n_modes: int) -> Nullifier:
     """p_1 - p_2 + p_3 - ..., the alternating momentum generator."""
-    return Nullifier(np.ravel([(0.0, parity_sign(m)) for m in range(n_modes)]))
+    return Nullifier(p_alternating_coeffs(n_modes))
 

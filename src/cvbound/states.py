@@ -22,10 +22,11 @@ from collections.abc import Iterable
 
 import numpy as np
 
+from .exact import MAX_SQUEEZING
+
 VACUUM_VAR = 0.5
 SYMMETRY_TOL = 1e-10
 PHYSICALITY_TOL = 1e-9
-MAX_SQUEEZING = 20.0
 
 __all__ = [
     "GaussianState",

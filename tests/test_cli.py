@@ -1,6 +1,7 @@
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -340,7 +341,6 @@ def test_pair_count_over_the_cap_exits_2_before_building(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        pytest.param(["sep-check", "--r", "12", "--sigma", "1"], id="sep-check"),
         pytest.param(["sweep", "--grid-r", "12", "--grid-sigma", "1"], id="sweep"),
     ],
 )
@@ -353,6 +353,25 @@ def test_spectrum_rounded_to_zero_exits_2(capsys, argv):
     assert code == 2
     assert err.startswith("error: a partial-transpose symplectic eigenvalue rounded to 0")
     assert out == ""
+
+
+def test_sep_check_at_r_12_prints_the_exact_spectrum(capsys):
+    # the float64 spectrum rounds to 0 here (the sweep case above); built
+    # sep-check prints the closed forms instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "sep-check", "--r", "12", "--sigma", "1", "--format", "json")
+    assert (code, err) == (0, "")
+    rows = {row["bipartition"]: row for row in json.loads(out)["rows"]}
+    assert rows["12-34"]["nu_min"] == 0.5
+    assert rows["12-34"]["log_neg"] == 0.0
+    assert rows["13-24"]["nu_min"] == float(f"{math.exp(-24) / 2:.12g}")
+    assert rows["13-24"]["log_neg"] == float(f"{24 / math.log(2):.12g}")
+    assert [rows[label]["verdict"] for label in ("12-34", "14-23", "13-24")] == [
+        "separable (by construction)",
+        "entangled",
+        "entangled",
+    ]
 
 
 def _scalar_sweep_rows(label, r_values=None, sigma_values=None):
@@ -557,11 +576,127 @@ def _subprocess_env() -> dict:
 
 
 def test_cli_import_loads_neither_scipy_nor_multiprocessing():
+    # nor numpy: the numpy-backed modules are lazy until a command reads them
     env = _subprocess_env()
-    code = "import sys, cvbound.cli; print(sorted({'scipy', 'multiprocessing'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    help_run = (
+        "import runpy; sys.argv = ['cvbound', '--help']\n"
+        "try:\n    runpy.run_module('cvbound.cli', run_name='__main__')\nexcept SystemExit:\n    pass"
+    )
+    for code in ("import cvbound", "import cvbound.cli", help_run):
+        code = f"import sys\n{code}\nprint(sorted({{'numpy', 'scipy', 'multiprocessing'}} & set(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip().splitlines()[-1] == "[]", code
+
+
+# runs each argv through cvbound.cli.main in one process and prints the
+# (exit code, stdout) pairs as JSON; with "block" as its first argument, any
+# import of numpy raises ImportError
+_NUMPY_FREE_RUNNER = """
+import contextlib, io, json, sys
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError("numpy is blocked")
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, BlockNumpy())
+from cvbound.cli import main
+
+results = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+_BUILT_STATE_COMMANDS = [
+    ["sep-check", "--r", "1.3", "--sigma-x", "0.9", "--sigma-p", "2"],
+    ["sep-check", "--r", "0.4", "--sigma", "0.2", "--format", "json"],
+    ["nullifiers", "--r", "0.8", "--sigma", "3"],
+    ["nullifiers", "--pairs", "5", "--r", "2.5", "--sigma-x", "1", "--sigma-p", "0"],
+    *(["unlock", "--pair", f"{i},{j}", "--r", "1.7", "--sigma", "0.6"] for i, j in itertools.combinations(range(1, 5), 2)),
+    ["superactivate", "--r", "0.6", "--sigma-x", "4", "--sigma-p", "1.5"],
+]
+
+
+def test_built_state_commands_run_without_numpy():
+    env = _subprocess_env()
+    outputs = {}
+    for mode in ("block", "free"):
+        cmd = [sys.executable, "-c", _NUMPY_FREE_RUNNER, mode, json.dumps(_BUILT_STATE_COMMANDS)]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outputs[mode] = json.loads(proc.stdout)
+    assert [code for code, _ in outputs["block"]] == [0] * len(_BUILT_STATE_COMMANDS)
+    assert outputs["block"] == outputs["free"]
+    # and the blocker does block: a matrix command fails without numpy
+    cmd = [sys.executable, "-c", _NUMPY_FREE_RUNNER, "block", json.dumps([["build"]])]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0 and "numpy is blocked" in proc.stderr
+
+
+def test_sep_check_keeps_the_12_34_cut_separable_at_large_squeezing(capsys):
+    # float64 gave nu_min 0.499999999054 and "entangled" here
+    code, out, _ = run(capsys, "sep-check", "--r", "5", "--sigma", "1")
+    assert code == 0
+    assert out.splitlines()[1] == "12-34  0.5  0  22026.4658402  separable (by construction)"
+
+
+def test_nullifier_variance_survives_large_noise(capsys):
+    # float64 cancellation printed 0.0 here
+    code, out, _ = run(capsys, "nullifiers", "--r", "1", "--sigma", "1e8")
+    assert code == 0
+    data = json.loads(out)
+    expected = float(f"{2 * math.exp(-2):.12g}")
+    assert data["x_sum_nullifier"]["variance"] == data["p_alternating_nullifier"]["variance"] == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["nullifiers", "--r", "1", "--sigma", "1e154"], id="nullifiers"),
+        pytest.param(["sep-check", "--r", "1", "--sigma", "1.3407807929942596e154"], id="sep-check"),
+    ],
+)
+def test_built_state_commands_at_the_noise_cap(capsys, argv):
+    # the matrix path warned and exited 2 with "SVD did not converge"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "nan" not in out and "inf" not in out.lower()
+
+
+@pytest.mark.parametrize("command", [["unlock", "--pair", "1,3"], ["superactivate"]])
+def test_protocol_witness_above_the_largest_float_exits_2(capsys, command):
+    # the noise does not cancel in duan_minus, whose true value exceeds the
+    # largest float here; JSON has no infinity to print
+    code, out, err = run(capsys, *command, "--sigma", "1.3407807929942596e154")
+    assert (code, out) == (2, "")
+    cap = "1.34078079299e+154"
+    assert err == f"error: a protocol witness exceeds the largest float at sigma_x = {cap}, sigma_p = {cap}\n"
+    code, out, err = run(capsys, *command, "--sigma", "4.7e153")
+    assert (code, err) == (0, "")
+    assert "Infinity" not in out and json.loads(out)["duan_minus"] > 1e307
+
+
+def test_protocols_never_refuse_at_strong_squeezing(capsys):
+    # the float64 state check refused about 1 in 15 of these r at random
+    for k in range(241):
+        r = repr(8 + 0.05 * k)
+        for sigma in ("0", "1"):
+            for i, j in itertools.combinations(range(1, 5), 2):
+                code, out, err = run(capsys, "unlock", "--pair", f"{i},{j}", "--r", r, "--sigma", sigma)
+                assert (code, err) == (0, ""), (r, sigma, i, j)
+                if (i + j) % 2:  # a mixed-parity pair
+                    assert json.loads(out)["witness_sum_x"] == float(f"{2 * math.exp(-2 * float(r)):.12g}")
+            code, out, err = run(capsys, "superactivate", "--r", r, "--sigma", sigma)
+            assert (code, err) == (0, ""), (r, sigma)
+            assert json.loads(out)["witness_diff_p"] == float(f"{4 * math.exp(-2 * float(r)):.12g}")
 
 
 def _in_process(capsys, *argv):

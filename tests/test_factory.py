@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -420,3 +422,13 @@ def test_equivalent_construction_rejects_other_groupings():
         equivalent_construction(spec, GROUP_12_34)
     with pytest.raises(ValueError):
         equivalent_construction(BoundStateSpec(3, 1.0, 1.0, 1.0), GROUP_14_23)
+
+
+@pytest.mark.parametrize("sigma_x, sigma_p, name", [(9.5e153, 1.0, "sigma_x"), (1.0, MAX_SIGMA, "sigma_p")])
+def test_factorized_construction_refuses_a_doubled_variance_that_overflows(sigma_x, sigma_p, name):
+    # 2 sigma^2 is above the largest float from sigma ~ 9.48e153; before the
+    # check this raised a bare OverflowError from Python's **
+    spec = BoundStateSpec(2, 1.0, sigma_x, sigma_p)
+    message = f"overflows a float at {name} = {max(sigma_x, sigma_p):.12g}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        equivalent_construction(spec, GROUP_13_24)

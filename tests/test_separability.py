@@ -260,10 +260,12 @@ def test_cut_diagnostics_equal_scalar_api(rng):
     stack = np.array([smolin_cv_four(spec).cov for spec in specs])
     for label in ("12-34", "14-23", "13-24"):
         bp = named_bipartition(label)
-        verdicts, log_negs, duans = cut_diagnostics(stack, bp)
-        for spec, verdict, log_neg, duan in zip(specs, verdicts, log_negs, duans):
+        nu_mins, verdicts, log_negs, duans = cut_diagnostics(stack, bp)
+        assert isinstance(nu_mins, np.ndarray) and all(type(v) is str for v in verdicts)
+        for spec, nu_min, verdict, log_neg, duan in zip(specs, nu_mins, verdicts, log_negs, duans):
             state = smolin_cv_four(spec)
-            assert verdict == ppt_verdict(state, bp)
+            expected = ppt_verdict(state, bp)
+            assert (nu_min, verdict) == (expected.witness_value, expected.verdict)
             assert log_neg == log_negativity(state, bp)
             pairs = [(a, b, sign) for a in bp.side_a for b in bp.side_b for sign in (+1, -1)]
             assert duan == min(duan_value(state, *pair) for pair in pairs)
