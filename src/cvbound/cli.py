@@ -6,11 +6,12 @@ diagrams); the library API underneath is 0-based.  Exit codes: 0 success,
 1 validation or verdict failure, 2 I/O or argument error.  All numeric output
 is printed with 12 significant digits.
 
-Built ``sep-check`` (no ``--state``), ``nullifiers``, ``unlock`` and
-``superactivate`` print closed forms from :mod:`cvbound.exact` and never load
-numpy.  ``build``, ``sweep``, ``validate`` and ``sep-check --state`` work on
-covariance matrices; the numpy-backed modules below are lazy (see the
-package docstring), so only those commands execute them.
+Built ``sep-check`` (no ``--state``), ``sweep``, ``nullifiers``, ``unlock``
+and ``superactivate`` print closed forms from :mod:`cvbound.exact` and never
+load numpy; a ``sweep`` row is built ``sep-check``'s row for its point.
+``build``, ``validate`` and ``sep-check --state`` work on covariance
+matrices; the numpy-backed modules below are lazy (see the package
+docstring), so only those commands execute them.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from . import exact, factory, protocols, separability, stabilizer, states
 
 FMT = "{:.12g}"
 
-# the most points one sweep grid, or one axis of it, may hold: a sweep peaks
-# at about 3.4 KB per point, so 2**18 points stay near 1 GB
+# the most points one sweep grid, or one axis of it, may hold: on a 2-core
+# host a sweep at the cap took about 2 s and 150 MB peak RSS as CSV, and
+# 6 s and 720 MB as JSON
 _MAX_GRID_POINTS = 2**18
 
 
@@ -158,12 +160,11 @@ def cmd_nullifiers(args) -> int:
 
 
 def _combined_verdict(ppt_verdict: str, separable_by_construction: bool) -> str:
+    # every cut reported here is 2:2, where PPT alone certifies no separability
     if ppt_verdict == "entangled":
         return "entangled"
     if separable_by_construction:
         return "separable (by construction)"
-    if ppt_verdict == "separable":
-        return "separable"
     return "PPT (separability not certified)"
 
 
@@ -171,9 +172,16 @@ def _combined_verdict(ppt_verdict: str, separable_by_construction: bool) -> str:
 SWEEP_VERDICTS = {
     "entangled": "entangled",
     "separable (by construction)": "separable",
-    "separable": "separable",
     "PPT (separability not certified)": "inconclusive",
 }
+
+
+def _sweep_row(spec: exact.BoundStateSpec, label: str) -> dict:
+    """Built ``sep-check``'s nu_min, log_neg, duan and verdict across ``label``; ``sweep`` prints it per point."""
+    row = exact.cut_report(spec, label)
+    by_construction = exact.construction_separable(label, spec.r, min(spec.sigma_x, spec.sigma_p) ** 2)
+    row["verdict"] = _combined_verdict(row.pop("ppt"), by_construction)
+    return row
 
 
 def cmd_sep_check(args) -> int:
@@ -189,21 +197,18 @@ def cmd_sep_check(args) -> int:
             return 2
         rows = []
         for label, bp in separability.FOUR_MODE_BIPARTITIONS.items():
-            (nu_min,), (ppt,), (log_neg,), (duan,) = separability.cut_diagnostics(state.cov[None], bp)
-            row = {"bipartition": label, "nu_min": float(nu_min), "log_neg": float(log_neg), "duan": float(duan)}
-            rows.append(dict(row, verdict=_combined_verdict(ppt, False)))
+            ppt = separability.ppt_verdict(state, bp)
+            log_neg = separability.log_negativity(state, bp)
+            duan = min(separability.duan_value(state, a, b, s) for a in bp.side_a for b in bp.side_b for s in (+1, -1))
+            row = {"bipartition": label, "nu_min": ppt.witness_value, "log_neg": log_neg, "duan": duan}
+            rows.append(dict(row, verdict=_combined_verdict(ppt.verdict, False)))
         footer = None
     else:
         spec = _spec_from_args(args)
         if spec.n_pairs != 2:
             print("error: sep-check covers the four-mode bipartitions", file=sys.stderr)
             return 2
-        rows = []
-        for label in exact.FOUR_MODE_CUTS:
-            row = exact.cut_report(spec, label)
-            by_construction = exact.construction_separable(label, spec.r, min(spec.sigma_x, spec.sigma_p) ** 2)
-            verdict = _combined_verdict(row.pop("ppt"), by_construction)
-            rows.append({"bipartition": label, **row, "verdict": verdict})
+        rows = [{"bipartition": label, **_sweep_row(spec, label)} for label in exact.FOUR_MODE_CUTS]
         # the PPT transition of the noise-dependent cut, printed beside the
         # analytic two-mode witness floor; the two are not equal and no
         # equality is claimed
@@ -241,54 +246,29 @@ _SWEEP_ROW = "{:.12g},{:.12g},{},{:.12g},{:.12g},{:.12g},{},{:.12g}\r\n"
 
 
 def cmd_sweep(args) -> int:
-    import numpy as np
-
     r_values = args.grid_r
     sigma_values = args.grid_sigma
     if not r_values or not sigma_values:
         print("error: empty sweep grid", file=sys.stderr)
         return 1
-    n_r, n_sigma = len(r_values), len(sigma_values)
-    if n_r * n_sigma > _MAX_GRID_POINTS:
-        print(f"error: the sweep grid holds {n_r * n_sigma} points, more than {_MAX_GRID_POINTS}", file=sys.stderr)
+    n_points = len(r_values) * len(sigma_values)
+    if n_points > _MAX_GRID_POINTS:
+        print(f"error: the sweep grid holds {n_points} points, more than {_MAX_GRID_POINTS}", file=sys.stderr)
         return 2
     label = args.bipartition
-    # a spec checks r before sigma, and each check reads r alone or sigma
-    # alone; so checking (r_0, sigma) for every sigma, then (r, sigma_0) for
-    # every r, raises the message of the first bad point in grid order
-    for sigma in sigma_values:
-        exact.BoundStateSpec(2, r_values[0], sigma, sigma)
-    for r in r_values:
-        exact.BoundStateSpec(2, r, sigma_values[0], sigma_values[0])
-    r_column = np.repeat(r_values, n_sigma)
-    sigma_column = np.tile(sigma_values, n_r)
-    covs = factory.smolin_cv_covariances(2, r_column, sigma_column, sigma_column)
-    states.require_physical(covs)
-    nu_mins, ppt_verdicts, log_negs, duans = separability.cut_diagnostics(covs, separability.named_bipartition(label))
-    sigma_sq = np.array([sigma**2 for sigma in sigma_values])
-    by_construction = np.empty((n_r, n_sigma), dtype=bool)
-    for row, r in zip(by_construction, r_values):
-        row[...] = exact.construction_separable(label, r, sigma_sq)
-    # _combined_verdict over its whole domain, then one lookup per point
-    short = {
-        (ppt, cons): SWEEP_VERDICTS[_combined_verdict(ppt, cons)]
-        for ppt in ("entangled", "separable", "inconclusive")
-        for cons in (False, True)
-    }
-    columns = (
-        r_column.tolist(),
-        sigma_column.tolist(),
-        itertools.repeat(label, n_r * n_sigma),
-        nu_mins.tolist(),
-        log_negs.tolist(),
-        duans.tolist(),
-        list(map(short.__getitem__, zip(ppt_verdicts, by_construction.ravel().tolist()))),
-        np.repeat([exact.duan_threshold_sigma_sq(r) for r in r_values], n_sigma).tolist(),
-    )
+    # every spec first, in grid order, so that a bad grid is refused with the
+    # message of its first bad point before anything else runs
+    specs = [exact.BoundStateSpec(2, r, sigma, sigma) for r in r_values for sigma in sigma_values]
+    rows = []
+    for spec in specs:
+        row = _sweep_row(spec, label)
+        verdict = SWEEP_VERDICTS[row["verdict"]]
+        threshold = exact.duan_threshold_sigma_sq(spec.r)
+        rows.append((spec.r, spec.sigma_x, label, row["nu_min"], row["log_neg"], row["duan"], verdict, threshold))
     if args.format == "json":
-        _emit(_json_dump([dict(zip(SWEEP_COLUMNS, row)) for row in zip(*columns)]), args.out)
+        _emit(_json_dump([dict(zip(SWEEP_COLUMNS, row)) for row in rows]), args.out)
     else:
-        _emit(",".join(SWEEP_COLUMNS) + "\r\n" + "".join(map(_SWEEP_ROW.format, *columns)), args.out)
+        _emit(",".join(SWEEP_COLUMNS) + "\r\n" + "".join(itertools.starmap(_SWEEP_ROW.format, rows)), args.out)
     return 0
 
 

@@ -1,9 +1,9 @@
 """Closed forms of the built bound-state family, on Python floats.
 
 Every number that the built-state commands (``sep-check`` without
-``--state``, ``nullifiers``, ``unlock`` and ``superactivate``) print comes
-from this module.  It imports no numpy: those commands need no matrix, and
-the import was most of their run time.  The parameter rules of the family
+``--state``, ``sweep``, ``nullifiers``, ``unlock`` and ``superactivate``)
+print comes from this module.  It imports no numpy: those commands need no
+matrix, and the import was most of their run time.  The parameter rules of the family
 (:class:`BoundStateSpec` and its caps), the cut labels, the nullifier sign
 ``parity_sign``, the verdict tolerance and the verdict rules also live here,
 so that the matrix code in the other modules reads the same definitions.
@@ -202,10 +202,12 @@ def duan_threshold_sigma_sq(r: float) -> float:
     For a squeezed pair carrying common-mode x displacements of variance v,
     the witness reads 2 exp(-2r) + 4 v; it meets the separability bound at
     v = (1 - exp(-2r)) / 2, the minimum noise strength the mixer must supply.
+    It is computed as -expm1(-2r) / 2, which does not cancel at small r, and
+    is +0.0 at r = -0.0 as at r = 0.
     """
     if r < 0:
         raise ValueError("squeezing parameter must be nonnegative")
-    return (1.0 - math.exp(-2.0 * r)) / 2.0
+    return 0.0 - math.expm1(-2.0 * r) / 2.0
 
 
 def ppt_threshold_sigma(r: float) -> float | None:
@@ -225,15 +227,13 @@ def ppt_threshold_sigma(r: float) -> float | None:
     return math.sqrt(math.sinh(2 * r) / 4.0)
 
 
-def construction_separable(label: str, r: float, min_sigma_sq):
+def construction_separable(label: str, r: float, min_sigma_sq: float) -> bool:
     """Whether the four-mode state's own recipe is a mixture of products across ``label``.
 
-    ``r`` is a float and ``min_sigma_sq`` is min(sigma_x, sigma_p)**2, a float
-    or an array of them; the result is a bool, or on 14-23 with an array a
-    bool array of its shape.  12-34 is always a mixture of pair products,
-    14-23 is one when min_sigma_sq reaches sinh(2r)/4, and 13-24 only when
-    its noise-free pair is not entangled: e^{-2r}/2 not below 1/2 within
-    ``VERDICT_TOL``, at r = 0.
+    ``min_sigma_sq`` is min(sigma_x, sigma_p)**2.  12-34 is always a mixture
+    of pair products, 14-23 is one when min_sigma_sq reaches sinh(2r)/4, and
+    13-24 only when its noise-free pair is not entangled: e^{-2r}/2 not below
+    1/2 within ``VERDICT_TOL``, at r = 0.
     """
     if label == "12-34":
         return True
@@ -353,32 +353,45 @@ def _unit_vector(n_modes: int, quad: int, mode: int) -> list[float]:
     return c
 
 
-def _two_mode_witness(spec: BoundStateSpec, i: int, j: int, sign: int) -> float:
-    """var(x_i + sign x_j) + var(p_i - sign p_j) on the four-mode state."""
-    cx, cp = _unit_vector(4, 0, i), _unit_vector(4, 1, i)
-    cx[2 * j] += sign
-    cp[2 * j + 1] -= sign
-    return variance(spec, cx) + variance(spec, cp)
-
-
 def cut_report(spec: BoundStateSpec, label: str) -> dict:
     """nu_min, log-negativity, smallest cross two-mode witness and PPT verdict across ``label``.
 
     The log-negativity sums -log2(2 nu) = -log2(4 nu^2) / 2 over the nu below
     1/2 - ``VERDICT_TOL``, the cutoff of the PPT verdict, so it is positive
-    exactly when the verdict is "entangled".  The witness is the minimum of
-    :func:`_two_mode_witness` over a in side_a, b in side_b and both signs,
-    as ``separability.cut_diagnostics`` takes it.
+    exactly when the verdict is "entangled".
+
+    The witness is the minimum of var(x_i + s x_j) + var(p_i - s p_j) over i
+    in side_a, j in side_b and s = +-1; with :func:`variance`'s pair and
+    chain terms, a = sigma_x^2 and b = sigma_p^2:
+
+    * i, j one pair: the pair gives 2e at s = +1 and 2E at s = -1, and the
+      chain link sees x and p sums 1 + s, so 2e + 4(a + b) and 2E.
+    * i, j in different pairs: each pair gives (e + E)/2, and the link sees
+      an x difference 1 - s and a p difference eps_i + s eps_j; so E + e at
+      the better s when eps_i != eps_j, else E + e + 4b (s = +1) and
+      E + e + 4a (s = -1).
+
+    Across 12-34 every couple (i, j) spans both pairs, and two of the four
+    have unequal parity.  Across 14-23 and 13-24 two couples lie in one
+    pair, and the two that span both pairs have equal parity on 14-23 and
+    unequal parity on 13-24.  So the witness is
+    E + e on 12-34, min(2E, 2e + 4(a + b), E + e + 4 min(a, b)) on 14-23
+    and min(2E, 2e + 4(a + b), E + e) on 13-24, with min taken before the
+    last addition because rounding is monotone.
     """
     _four_mode(spec, "cut reports are")
-    side_a, side_b = FOUR_MODE_CUTS[label]
     nu_sq = cut_nu_squared(spec, label)
     nus = [math.sqrt(v) for v in nu_sq]
     log_neg = 0.0
     for nu, v in zip(nus, nu_sq):
         if nu < 0.5 - VERDICT_TOL:
             log_neg -= 0.5 * math.log2(4.0 * v)
-    duan = min(_two_mode_witness(spec, a, b, sign) for a in side_a for b in side_b for sign in (+1, -1))
+    e, E = math.exp(-2.0 * spec.r), math.exp(2.0 * spec.r)
+    a, b = spec.sigma_x**2, spec.sigma_p**2
+    duan = E + e
+    if label != "12-34":
+        cross = duan + 4.0 * min(a, b) if label == "14-23" else duan
+        duan = min(2.0 * E, 2.0 * e + 4.0 * (a + b), cross)
     nu_min = min(nus)
     return {"nu_min": nu_min, "log_neg": log_neg, "duan": duan, "ppt": ppt_rule(nu_min, False)}
 

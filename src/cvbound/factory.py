@@ -56,7 +56,6 @@ __all__ = [
     "GROUP_13_24",
     "smolin_cv_four",
     "smolin_cv_2n",
-    "smolin_cv_covariances",
     "equivalent_construction",
 ]
 
@@ -105,58 +104,38 @@ def _chain_supports(pairs: tuple, n_modes: int) -> tuple:
     return tuple(supports)
 
 
-def _epr_pairs_cov(r, pairs, n_modes: int) -> np.ndarray:
-    """Squeezed pairs (the :func:`epr_pair` block) on ``pairs``, stacked over the shape of ``r``."""
+def _epr_pairs_cov(r: float, pairs, n_modes: int) -> np.ndarray:
+    """Squeezed pairs (the :func:`epr_pair` block) on ``pairs``."""
     r = np.asarray(r, dtype=float) + 0.0  # r = -0.0 becomes +0.0 (see _add_noise)
     c, s = np.cosh(2 * r) / 2, np.sinh(2 * r) / 2
-    cov = np.zeros(r.shape + (2 * n_modes, 2 * n_modes))
+    cov = np.zeros((2 * n_modes, 2 * n_modes))
     for a, b in pairs:
         for q in (2 * a, 2 * a + 1, 2 * b, 2 * b + 1):
-            cov[..., q, q] = c
-        cov[..., 2 * a, 2 * b] = cov[..., 2 * b, 2 * a] = -s
-        cov[..., 2 * a + 1, 2 * b + 1] = cov[..., 2 * b + 1, 2 * a + 1] = s
+            cov[q, q] = c
+        cov[2 * a, 2 * b] = cov[2 * b, 2 * a] = -s
+        cov[2 * a + 1, 2 * b + 1] = cov[2 * b + 1, 2 * a + 1] = s
     return cov
 
 
-def _squares(sigma) -> np.ndarray:
+def _square(sigma: float) -> float:
     # Python's float power (libm pow), which the constructors have always
     # used: numpy's ``**`` squares by x*x and differs in the last bit for
     # about 0.1% of inputs
-    sigma = np.asarray(sigma, dtype=float)
-    return np.reshape([v**2 for v in sigma.ravel().tolist()], sigma.shape)
+    return float(sigma) ** 2
 
 
 def _add_noise(cov: np.ndarray, supports, squares) -> np.ndarray:
-    """Add sigma^2 p p^T per pattern in order, only on its support; ``squares`` from :func:`_squares`.
+    """Add sigma^2 p p^T per pattern in order, only on its support; ``squares`` from :func:`_square`.
 
     This gives the bits of the dense term: off the support it is +-0.0, which
     changes no entry but -0.0 (-0.0 + 0.0 = +0.0).  The only -0.0 entries are
     the -s x-x pair entries at r = 0 (r = -0.0 would put them on p-p too), and
     each lies on an x-pattern's support, where it gets sigma^2 >= +0.0 as well.
     """
-    flat = cov.reshape(cov.shape[:-2] + (-1,))
+    flat = cov.reshape(-1)
     for (entries, products), square in zip(supports, squares):
-        flat[..., entries] += square[..., None] * products
+        flat[entries] += square * products
     return flat.reshape(cov.shape)
-
-
-def smolin_cv_covariances(n_pairs: int, r, sigma_x, sigma_p) -> np.ndarray:
-    """Covariance matrices of the :func:`smolin_cv_2n` family, broadcast over parameters.
-
-    ``r``, ``sigma_x`` and ``sigma_p`` are scalars or arrays broadcast to a
-    common shape S; the result has shape S + (4 n_pairs, 4 n_pairs), and each
-    matrix is bit-identical to the ``cov`` of ``smolin_cv_2n`` at those
-    parameters: each chain term is added on its 4 x 4 support only, with the
-    dense term's bits (:func:`_add_noise`).  Nothing is validated: check the
-    parameters with :class:`BoundStateSpec` and the result with
-    :func:`states.require_physical`.
-    """
-    r, sigma_x, sigma_p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (r, sigma_x, sigma_p)))
-    # EPR blocks first, then sigma^2 p p^T per chain pattern: the order of the
-    # floating-point additions fixes every bit of the result
-    pairs = tuple((2 * k, 2 * k + 1) for k in range(n_pairs))
-    squares = [_squares(sigma_x), _squares(sigma_p)] * (n_pairs - 1)
-    return _add_noise(_epr_pairs_cov(r, pairs, 2 * n_pairs), _chain_supports(pairs, 2 * n_pairs), squares)
 
 
 def smolin_cv_four(spec: BoundStateSpec) -> GaussianState:
@@ -173,8 +152,15 @@ def smolin_cv_four(spec: BoundStateSpec) -> GaussianState:
 
 
 def smolin_cv_2n(spec: BoundStateSpec) -> GaussianState:
-    """2n-mode generalization with pair-chain noise (see module docstring)."""
-    cov = smolin_cv_covariances(spec.n_pairs, spec.r, spec.sigma_x, spec.sigma_p)
+    """2n-mode generalization with pair-chain noise (see module docstring).
+
+    EPR blocks first, then sigma^2 p p^T per chain pattern, each on its 4 x 4
+    support only with the dense term's bits (:func:`_add_noise`): the order
+    of the floating-point additions fixes every bit of the covariance.
+    """
+    pairs = tuple((2 * k, 2 * k + 1) for k in range(spec.n_pairs))
+    squares = [_square(spec.sigma_x), _square(spec.sigma_p)] * (spec.n_pairs - 1)
+    cov = _add_noise(_epr_pairs_cov(spec.r, pairs, spec.n_modes), _chain_supports(pairs, spec.n_modes), squares)
     return GaussianState(np.zeros(2 * spec.n_modes), cov)
 
 
@@ -194,8 +180,8 @@ def _matched_regrouping(spec: BoundStateSpec) -> tuple[ConstructionVariant, Gaus
         return ConstructionVariant(GROUP_14_23, feasible=False, note=note), None
     pairs = GROUP_14_23.subsets
     base = np.sqrt(base_sq)
-    cov = _add_noise(_epr_pairs_cov(spec.r, pairs, 4), _chain_supports(pairs, 4), [_squares(base)] * 2)
-    residuals = [_squares(np.sqrt(res_x_sq)), _squares(np.sqrt(res_p_sq))]
+    cov = _add_noise(_epr_pairs_cov(spec.r, pairs, 4), _chain_supports(pairs, 4), [_square(base)] * 2)
+    residuals = [_square(np.sqrt(res_x_sq)), _square(np.sqrt(res_p_sq))]
     cov = _add_noise(cov, _chain_supports(GROUP_12_34.subsets, 4), residuals)
     variant = ConstructionVariant(
         GROUP_14_23,
@@ -218,7 +204,7 @@ def _factorized_regrouping(spec: BoundStateSpec) -> tuple[ConstructionVariant, G
     noise = []
     for name, sigma in (("sigma_x", spec.sigma_x), ("sigma_p", spec.sigma_p)):
         try:
-            noise.append(_squares(np.sqrt(2) * sigma))
+            noise.append(_square(np.sqrt(2) * sigma))
         except OverflowError:  # from Python's **, for sigma above about 9.48e153
             raise ValueError(
                 f"the 13-24 factorized construction needs the doubled variance 2 {name}^2, "

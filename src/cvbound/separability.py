@@ -5,7 +5,8 @@ violation (a partial-transpose symplectic eigenvalue below 1/2, or a two-mode
 sum/difference variance below 2).  A passing witness is *inconclusive* except
 where it is genuinely conclusive: positivity of the partial transpose
 certifies separability for one-mode-versus-one-mode cuts, and an explicit
-mixture-of-products construction certifies separability wherever it exists.
+mixture-of-products construction (``exact.construction_separable``)
+certifies separability wherever it exists.
 Bound entanglement lives exactly in the gap between those statements, so the
 gap is surfaced rather than hidden.
 
@@ -18,21 +19,13 @@ violation implies entanglement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # the tolerance, the verdict rules and the closed-form thresholds live in the
 # numpy-free exact module, which the built-state commands use without this one
-from .exact import (
-    VERDICT_TOL,
-    construction_separable,
-    duan_rule,
-    duan_threshold_sigma_sq,
-    ppt_rule,
-    ppt_threshold_sigma,
-)
+from .exact import VERDICT_TOL, duan_rule, duan_threshold_sigma_sq, ppt_rule, ppt_threshold_sigma
 from .factory import GROUP_12_34, GROUP_13_24, GROUP_14_23, BoundStateSpec, smolin_cv_four
 from .stabilizer import Bipartition
 from .states import GaussianState, partial_transpose, quad_variance, symplectic_eigenvalues
@@ -52,8 +45,6 @@ __all__ = [
     "ppt_threshold_search",
     "ppt_verdict",
     "duan_verdict",
-    "construction_verdict",
-    "cut_diagnostics",
 ]
 
 
@@ -72,13 +63,13 @@ def named_bipartition(label: str) -> Bipartition:
 
 @dataclass(frozen=True)
 class SeparabilityVerdict:
-    method: str  # ppt | duan | construction
+    method: str  # ppt | duan
     verdict: str  # entangled | separable | inconclusive
     witness_value: float
     threshold: float
 
     def __post_init__(self):
-        if self.method not in ("ppt", "duan", "construction"):
+        if self.method not in ("ppt", "duan"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.verdict not in ("entangled", "separable", "inconclusive"):
             raise ValueError(f"unknown verdict {self.verdict!r}")
@@ -97,19 +88,15 @@ def ppt_min_symplectic(state: GaussianState, bp: Bipartition) -> float:
 
 
 def log_negativity(state: GaussianState, bp: Bipartition) -> float:
-    """Logarithmic negativity: sum of -log2(2 nu) over nu < 1/2, 0 when PPT."""
-    if bp.n_modes != state.n_modes:
-        raise ValueError("bipartition does not match the state's mode count")
-    return float(_log_neg(symplectic_eigenvalues(partial_transpose(state, bp.side_b))))
+    """Logarithmic negativity: sum of -log2(2 nu) over nu < 1/2, 0 when PPT.
 
-
-def _log_neg(nus: np.ndarray) -> np.ndarray:
-    """Log-negativity of each spectrum along the last axis of ``nus``.
-
-    Raises ``ValueError`` when an eigenvalue is not positive: the spectra
-    come from positive-definite covariance matrices, so such a value is
+    Raises ``ValueError`` when an eigenvalue is not positive: the spectrum
+    comes from a positive-definite covariance matrix, so such a value is
     float64 rounding, and the log-negativity it would give is infinite.
     """
+    if bp.n_modes != state.n_modes:
+        raise ValueError("bipartition does not match the state's mode count")
+    nus = symplectic_eigenvalues(partial_transpose(state, bp.side_b))
     if (nus <= 0).any():
         raise ValueError(
             "a partial-transpose symplectic eigenvalue rounded to 0: float64 cannot resolve this "
@@ -119,7 +106,7 @@ def _log_neg(nus: np.ndarray) -> np.ndarray:
     # the verdict is "entangled"; log2(1) = 0 stands in for the other terms,
     # and subtracting from 0.0 keeps an empty sum at +0
     below = nus < 0.5 - VERDICT_TOL
-    return 0.0 - np.log2(np.where(below, 2.0 * nus, 1.0)).sum(axis=-1)
+    return float(0.0 - np.log2(np.where(below, 2.0 * nus, 1.0)).sum())
 
 
 def duan_value(state: GaussianState, i: int, j: int, sign: int = +1) -> float:
@@ -220,69 +207,10 @@ def _bracketed_root(gap, lo: float, hi: float, gap_lo: float, gap_hi: float, tol
 
 def ppt_verdict(state: GaussianState, bp: Bipartition) -> SeparabilityVerdict:
     """PPT test with the one-sidedness discipline described in the module docstring."""
-    return _ppt_rule(ppt_min_symplectic(state, bp), bp)
-
-
-def _one_by_one(bp: Bipartition) -> bool:
-    return len(bp.side_a) == 1 and len(bp.side_b) == 1
-
-
-def _ppt_rule(nu_min: float, bp: Bipartition) -> SeparabilityVerdict:
-    return SeparabilityVerdict("ppt", ppt_rule(nu_min, _one_by_one(bp)), nu_min, 0.5)
+    nu_min = ppt_min_symplectic(state, bp)
+    one_by_one = len(bp.side_a) == 1 and len(bp.side_b) == 1
+    return SeparabilityVerdict("ppt", ppt_rule(nu_min, one_by_one), nu_min, 0.5)
 
 
 def duan_verdict(value: float) -> SeparabilityVerdict:
     return SeparabilityVerdict("duan", duan_rule(value), value, 2.0)
-
-
-def construction_verdict(spec: BoundStateSpec, label: str) -> SeparabilityVerdict:
-    """Separability knowledge supplied by the generation circuits themselves.
-
-    Across 12-34 the state is a classical mixture of pair products for every
-    noise strength.  Across 14-23 the mixture recipe exists exactly when both
-    noise variances reach sinh(2r)/4.  Across 13-24 the factorized recipe
-    contains a noise-free squeezed pair spanning the cut, so the state is
-    entangled there whenever r > 0.  The verdict is "separable" exactly when
-    ``exact.construction_separable`` holds.
-    """
-    if spec.n_pairs != 2:
-        raise ValueError("construction verdicts are defined for the four-mode state")
-    witness = float(min(spec.sigma_x, spec.sigma_p) ** 2)
-    separable = construction_separable(label, spec.r, witness)
-    if label == "12-34":
-        return SeparabilityVerdict("construction", "separable", witness, 0.0)
-    if label == "14-23":
-        floor = math.sinh(2 * spec.r) / 4.0
-        return SeparabilityVerdict("construction", "separable" if separable else "inconclusive", witness, floor)
-    nu = math.exp(-2 * spec.r) / 2.0
-    return SeparabilityVerdict("construction", "separable" if separable else "entangled", nu, 0.5)
-
-
-def cut_diagnostics(covs: np.ndarray, bp: Bipartition) -> tuple[np.ndarray, list[str], np.ndarray, np.ndarray]:
-    """PPT spectra minima and verdicts, log-negativities and smallest cross two-mode witnesses of a stack.
-
-    ``covs`` is an (N, 2n, 2n) stack of covariance matrices that already
-    passed :func:`states.require_physical`.  One partial-transpose spectrum
-    per matrix gives nu_min, the PPT verdict string and the log-negativity;
-    the two-mode witnesses ``duan_value(a, b, +/-1)`` over every a in
-    ``bp.side_a`` and b in ``bp.side_b`` are quadratic forms over the whole
-    stack.  Entry k equals, bit for bit, the ``witness_value`` and
-    ``verdict`` of :func:`ppt_verdict`, :func:`log_negativity` and the
-    minimum of :func:`duan_value` for matrix k.
-    """
-    covs = np.asarray(covs, dtype=float)
-    if covs.ndim != 3 or covs.shape[1:] != (2 * bp.n_modes, 2 * bp.n_modes):
-        raise ValueError("expected an (N, 2n, 2n) stack matching the bipartition")
-    nus = symplectic_eigenvalues(partial_transpose(covs, bp.side_b))
-    nu_mins = nus.min(axis=-1)
-    one_by_one = _one_by_one(bp)
-    verdicts = [ppt_rule(nu, one_by_one) for nu in nu_mins.tolist()]
-    # rows alternate x and p coefficients of each witness; each coefficient
-    # row has two nonzero +/-1 entries, so every sum below rounds once, as in
-    # quad_variance
-    coeffs = np.concatenate(
-        [_duan_coeffs(bp.n_modes, a, b, sign) for a in bp.side_a for b in bp.side_b for sign in (+1, -1)]
-    )
-    forms = ((coeffs @ covs) * coeffs).sum(axis=-1)
-    duan = (forms[:, 0::2] + forms[:, 1::2]).min(axis=-1)
-    return nu_mins, verdicts, _log_neg(nus), duan

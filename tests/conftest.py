@@ -4,6 +4,11 @@ import pytest
 from cvbound.states import GaussianState
 
 
+def close(value, reference, tol=1e-10):
+    """Within ``tol`` relative to the reference, or absolute below 1: the closed forms against float64."""
+    return abs(value - reference) <= tol * max(1.0, abs(reference))
+
+
 def brute_variance(cov, coeffs):
     """Independent quadratic-form oracle: explicit double loop."""
     total = 0.0

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import itertools
@@ -12,12 +13,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvbound
-from cvbound import cli, separability
+from cvbound import cli, exact, separability
 from cvbound.cli import main
 from cvbound.factory import BoundStateSpec, smolin_cv_four
 from cvbound.states import state_from_dict
+
+from conftest import close
 
 
 def run(capsys, *argv):
@@ -338,26 +343,9 @@ def test_pair_count_over_the_cap_exits_2_before_building(tmp_path, capsys):
     assert not path.exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        pytest.param(["sweep", "--grid-r", "12", "--grid-sigma", "1"], id="sweep"),
-    ],
-)
-def test_spectrum_rounded_to_zero_exits_2(capsys, argv):
-    # at r = 12 float64 rounds a partial-transpose eigenvalue to 0; the
-    # log-negativity would be inf and 12-34 would read "entangled"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert err.startswith("error: a partial-transpose symplectic eigenvalue rounded to 0")
-    assert out == ""
-
-
 def test_sep_check_at_r_12_prints_the_exact_spectrum(capsys):
-    # the float64 spectrum rounds to 0 here (the sweep case above); built
-    # sep-check prints the closed forms instead
+    # the float64 spectrum rounds an eigenvalue to 0 here; built sep-check
+    # prints the closed forms instead
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run(capsys, "sep-check", "--r", "12", "--sigma", "1", "--format", "json")
@@ -374,33 +362,89 @@ def test_sep_check_at_r_12_prints_the_exact_spectrum(capsys):
     ]
 
 
-def _scalar_sweep_rows(label, r_values=None, sigma_values=None):
-    # one state per point; the default grid is --grid-r 0.1:3:0.3 --grid-sigma 0:5:0.5
-    bp = separability.named_bipartition(label)
+def test_sweep_at_r_12_prints_the_exact_spectrum(capsys):
+    # the float64 sweep rounded a partial-transpose eigenvalue to 0 here and
+    # exited 2
+    rows = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for label in ("12-34", "14-23", "13-24"):
+            argv = ["sweep", "--grid-r", "12", "--grid-sigma", "1", "--bipartition", label, "--format", "json"]
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            (rows[label],) = json.loads(out)
+    assert rows["12-34"]["nu_min"] == 0.5
+    assert rows["12-34"]["log_neg"] == 0.0
+    assert rows["13-24"]["nu_min"] == float(f"{math.exp(-24) / 2:.12g}")
+    assert rows["13-24"]["log_neg"] == float(f"{24 / math.log(2):.12g}")
+    assert [rows[label]["verdict"] for label in ("12-34", "14-23", "13-24")] == ["separable", "entangled", "entangled"]
+
+
+def test_sweep_keeps_the_12_34_cut_separable_at_large_squeezing(capsys):
+    # the float64 sweep marked 112 of these 276 rows "entangled"
+    argv = ["sweep", "--grid-r", "3:7.5:0.1", "--grid-sigma", "0:5:1", "--bipartition", "12-34"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    verdicts = [line.split(",")[6] for line in out.splitlines()[1:]]
+    assert len(verdicts) == 276 and verdicts.count("entangled") == 0
+
+
+@pytest.mark.parametrize("sigma", ["0", "0.5", "1", "3"])
+def test_sweep_never_refuses_at_strong_squeezing(capsys, sigma):
+    # the float64 state check refused 14 to 23 of these 241 r at random
+    code, out, err = run(capsys, "sweep", "--grid-r", "8:20:0.05", "--grid-sigma", sigma)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 241
+
+
+# the sweep's verdict words for built sep-check's
+_SHORT_VERDICT = {
+    "entangled": "entangled",
+    "separable (by construction)": "separable",
+    "PPT (separability not certified)": "inconclusive",
+}
+
+
+def _closed_form_sweep_rows(label, r_values=None, sigma_values=None):
+    # one cut report per point; the default grid is --grid-r 0.1:3:0.3 --grid-sigma 0:5:0.5
     rows = []
     for r in [0.1 + k * 0.3 for k in range(10)] if r_values is None else r_values:
         for sigma in [k * 0.5 for k in range(11)] if sigma_values is None else sigma_values:
-            spec = BoundStateSpec(2, r, sigma, sigma)
-            state = smolin_cv_four(spec)
-            ppt_v = separability.ppt_verdict(state, bp)
-            if ppt_v.verdict == "entangled":
+            report = exact.cut_report(BoundStateSpec(2, r, sigma, sigma), label)
+            if report["ppt"] == "entangled":
                 verdict = "entangled"
-            elif separability.construction_verdict(spec, label).verdict == "separable":
+            elif exact.construction_separable(label, r, sigma**2):
                 verdict = "separable"
             else:
                 verdict = "inconclusive"
-            duans = [separability.duan_value(state, a, b, s) for a in bp.side_a for b in bp.side_b for s in (+1, -1)]
             rows.append(
-                [r, sigma, label, ppt_v.witness_value, separability.log_negativity(state, bp), min(duans), verdict,
-                 separability.duan_threshold_sigma_sq(r)]
+                [r, sigma, label, report["nu_min"], report["log_neg"], report["duan"], verdict,
+                 exact.duan_threshold_sigma_sq(r)]
             )  # fmt: skip
     return rows
+
+
+def _assert_rows_match_the_matrix_path(rows):
+    # the float64 matrix path, one state per point, within its accuracy at r <= 3
+    for r, sigma, label, nu_min, log_neg, duan, verdict, threshold in rows:
+        assert r <= 3
+        bp = separability.named_bipartition(label)
+        state = smolin_cv_four(BoundStateSpec(2, r, sigma, sigma))
+        ppt_v = separability.ppt_verdict(state, bp)
+        duans = [separability.duan_value(state, a, b, s) for a in bp.side_a for b in bp.side_b for s in (+1, -1)]
+        assert close(nu_min, ppt_v.witness_value) and close(log_neg, separability.log_negativity(state, bp))
+        assert close(duan, min(duans)) and close(threshold, (1 - math.exp(-2 * r)) / 2)
+        matrix_verdict = ppt_v.verdict
+        if matrix_verdict != "entangled":
+            matrix_verdict = "separable" if exact.construction_separable(label, r, sigma**2) else "inconclusive"
+        assert verdict == matrix_verdict, (r, sigma, label)
 
 
 @pytest.mark.parametrize("label", ["12-34", "14-23", "13-24"])
 def test_sweep_matches_scalar_api(capsys, label):
     grid = ["--grid-r", "0.1:3:0.3", "--grid-sigma", "0:5:0.5", "--bipartition", label]
-    expected = _scalar_sweep_rows(label)
+    expected = _closed_form_sweep_rows(label)
+    _assert_rows_match_the_matrix_path(expected)
     code, out, _ = run(capsys, "sweep", *grid)
     assert code == 0
     lines = out.splitlines()
@@ -413,9 +457,10 @@ def test_sweep_matches_scalar_api(capsys, label):
     assert json.loads(out) == [dict(zip(keys, row)) for row in rounded]
 
 
-def _scalar_sweep_output(label, r_values, sigma_values, fmt):
+def _closed_form_sweep_output(label, r_values, sigma_values, fmt):
     """The sweep's stdout built from per-point rows with csv.writer or json.dumps."""
-    rows = _scalar_sweep_rows(label, r_values, sigma_values)
+    rows = _closed_form_sweep_rows(label, r_values, sigma_values)
+    _assert_rows_match_the_matrix_path(rows)
     if fmt == "json":
         rounded = [[float(f"{v:.12g}") if isinstance(v, float) else v for v in row] for row in rows]
         return json.dumps([dict(zip(cli.SWEEP_COLUMNS, row)) for row in rounded], indent=2) + "\n"
@@ -426,21 +471,29 @@ def _scalar_sweep_output(label, r_values, sigma_values, fmt):
     return buf.getvalue()
 
 
-def _sweep_axes(capsys, monkeypatch, r_values, sigma_values, label="14-23", fmt="csv"):
-    """``main`` on a sweep over explicit axes, which no 'a:b:step' string may spell."""
-    args = argparse.Namespace(
+def _sweep_args(r_values, sigma_values, label="14-23", fmt="csv"):
+    return argparse.Namespace(
         grid_r=r_values, grid_sigma=sigma_values, bipartition=label, format=fmt, jobs=1, out=None, func=cli.cmd_sweep
     )
+
+
+def _sweep_axes(capsys, monkeypatch, r_values, sigma_values, label="14-23", fmt="csv"):
+    """``main`` on a sweep over explicit axes, which no 'a:b:step' string may spell."""
+    args = _sweep_args(r_values, sigma_values, label, fmt)
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", lambda self, argv=None: args)
     return run(capsys, "sweep")
 
 
-# sigma = sqrt(sinh(2r)/4) is the 14-23 construction boundary of each nonzero
-# r; one float below it the cut is PPT within tolerance but not separable by
-# construction
-_BOUNDARY_SIGMA = [math.sqrt(math.sinh(2 * r) / 4) for r in (0.3, 1.0, 2.5)]
+def _boundary_sigmas(r_values):
+    # sigma = sqrt(sinh(2r)/4) is the 14-23 construction boundary of each
+    # nonzero r; one float below it the cut is PPT within tolerance but not
+    # separable by construction
+    boundary = [math.sqrt(math.sinh(2 * r) / 4) for r in r_values if r]
+    return boundary + [math.nextafter(s, 0.0) for s in boundary]
+
+
 _EDGE_R = [0.0, -0.0, 0.3, 1.0, 2.5]
-_EDGE_SIGMA = [0.0, -0.0, 0.7, 3.0] + _BOUNDARY_SIGMA + [math.nextafter(s, 0.0) for s in _BOUNDARY_SIGMA]
+_EDGE_SIGMA = [0.0, -0.0, 0.7, 3.0] + _boundary_sigmas([0.3, 1.0, 2.5])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -448,7 +501,54 @@ _EDGE_SIGMA = [0.0, -0.0, 0.7, 3.0] + _BOUNDARY_SIGMA + [math.nextafter(s, 0.0) 
 def test_sweep_matches_per_point_output_on_edge_grids(capsys, monkeypatch, label, fmt):
     code, out, err = _sweep_axes(capsys, monkeypatch, _EDGE_R, _EDGE_SIGMA, label, fmt)
     assert (code, err) == (0, "")
-    assert out == _scalar_sweep_output(label, _EDGE_R, _EDGE_SIGMA, fmt)
+    assert out == _closed_form_sweep_output(label, _EDGE_R, _EDGE_SIGMA, fmt)
+
+
+def _stdout(fn, *args) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = fn(*args)
+    assert code == 0
+    return out.getvalue()
+
+
+def _assert_sweep_rows_are_sep_check_rows(r_values, sigma_values):
+    sweeps = {
+        label: iter(json.loads(_stdout(cli.cmd_sweep, _sweep_args(r_values, sigma_values, label, "json"))))
+        for label in exact.FOUR_MODE_CUTS
+    }
+    for r in r_values:
+        for sigma in sigma_values:
+            argv = ["sep-check", "--r", repr(r), "--sigma", repr(sigma), "--format", "json"]
+            for expected in json.loads(_stdout(main, argv))["rows"]:
+                row = next(sweeps[expected["bipartition"]])
+                assert row == {
+                    "r": float(f"{r:.12g}"),
+                    "sigma": float(f"{sigma:.12g}"),
+                    "bipartition": expected["bipartition"],
+                    "nu_min": expected["nu_min"],
+                    "log_neg": expected["log_neg"],
+                    "duan": expected["duan"],
+                    "verdict": _SHORT_VERDICT[expected["verdict"]],
+                    "duan_threshold_sigma_sq": float(f"{exact.duan_threshold_sigma_sq(r):.12g}"),
+                }, (r, sigma)
+    assert all(next(rows, None) is None for rows in sweeps.values())
+
+
+def test_sweep_rows_are_sep_check_rows_over_the_whole_squeezing_range():
+    # one r at a time, so that each sigma axis holds that r's 14-23 boundary
+    # and the float below it
+    for r in [0.0, -0.0] + [0.05 * k for k in range(1, 401)]:
+        _assert_sweep_rows_are_sep_check_rows([r], [0.0, 0.5, 1.0, 3.0, 1e8, 1e150] + _boundary_sigmas([r]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r_values=st.lists(st.floats(0.0, exact.MAX_SQUEEZING), min_size=1, max_size=3),
+    sigma_values=st.lists(st.floats(0.0, 10.0) | st.floats(0.0, exact.MAX_SIGMA), min_size=1, max_size=3),
+)
+def test_every_sweep_row_is_sep_checks_row(r_values, sigma_values):
+    _assert_sweep_rows_are_sep_check_rows(r_values, sigma_values)
 
 
 @pytest.mark.parametrize(
@@ -620,6 +720,8 @@ _BUILT_STATE_COMMANDS = [
     ["nullifiers", "--pairs", "5", "--r", "2.5", "--sigma-x", "1", "--sigma-p", "0"],
     *(["unlock", "--pair", f"{i},{j}", "--r", "1.7", "--sigma", "0.6"] for i, j in itertools.combinations(range(1, 5), 2)),
     ["superactivate", "--r", "0.6", "--sigma-x", "4", "--sigma-p", "1.5"],
+    ["sweep", "--grid-r", "0:20:2.5", "--grid-sigma", "0:3:0.5", "--bipartition", "12-34"],
+    ["sweep", "--grid-r", "0.5:1.5:0.25", "--grid-sigma", "0.8:1.2:0.1", "--format", "json"],
 ]
 
 

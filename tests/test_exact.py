@@ -9,13 +9,7 @@ import pytest
 from cvbound import exact
 from cvbound.factory import BoundStateSpec, smolin_cv_2n, smolin_cv_four
 from cvbound.protocols import _joint_readout, bell_measure, measure_with_feedforward, superactivate, unlock
-from cvbound.separability import (
-    FOUR_MODE_BIPARTITIONS,
-    construction_verdict,
-    cut_diagnostics,
-    duan_verdict,
-    ppt_verdict,
-)
+from cvbound.separability import FOUR_MODE_BIPARTITIONS, duan_value, duan_verdict, log_negativity, ppt_verdict
 from cvbound.stabilizer import (
     Partition,
     nullifier_variance,
@@ -25,14 +19,12 @@ from cvbound.stabilizer import (
 )
 from cvbound.states import partial_transpose, quad_variance, symplectic_eigenvalues, tensor
 
+from conftest import close
+
 ALL_PAIRS = list(itertools.combinations(range(4), 2))
 # r <= 3, where the float64 matrix path is accurate to the 1e-10 tolerances
 MATRIX_R = [0.0, 0.05, 0.3, 1.0, 2.2, 3.0]
 MATRIX_SIGMAS = [(0.0, 0.0), (0.7, 0.7), (1.0, 2.5), (4.0, 0.3), (10.0, 10.0)]
-
-
-def close(value, reference, tol=1e-10):
-    return abs(value - reference) <= tol * max(1.0, abs(reference))
 
 
 def specs(n_pairs=2):
@@ -48,11 +40,38 @@ def test_cut_spectrum_and_report_match_the_matrix_path(label):
         closed = np.sort(np.sqrt(exact.cut_nu_squared(spec, label)))
         assert np.all(np.abs(closed - nus) <= 1e-10 * np.maximum(1.0, nus)), (spec, closed, nus)
         report = exact.cut_report(spec, label)
-        (nu_min,), (ppt,), (log_neg,), (duan,) = cut_diagnostics(state.cov[None], bp)
-        assert close(report["nu_min"], nu_min) and close(report["log_neg"], log_neg) and close(report["duan"], duan)
-        assert report["ppt"] == ppt
-        by_construction = exact.construction_separable(label, spec.r, min(spec.sigma_x, spec.sigma_p) ** 2)
-        assert by_construction == (construction_verdict(spec, label).verdict == "separable")
+        ppt = ppt_verdict(state, bp)
+        duan = min(duan_value(state, a, b, s) for a in bp.side_a for b in bp.side_b for s in (+1, -1))
+        assert close(report["nu_min"], ppt.witness_value) and close(report["duan"], duan)
+        assert close(report["log_neg"], log_negativity(state, bp))
+        assert report["ppt"] == ppt.verdict
+        # where PPT is exact (off the 14-23 threshold), the state's own recipe
+        # is a mixture of products exactly where the cut is PPT
+        min_sigma_sq = min(spec.sigma_x, spec.sigma_p) ** 2
+        if label != "14-23" or abs(min_sigma_sq - math.sinh(2 * spec.r) / 4) >= 1e-6:
+            assert exact.construction_separable(label, spec.r, min_sigma_sq) == (report["ppt"] != "entangled")
+
+
+def _generic_cut_witness(spec, label):
+    """The smallest var(x_a + s x_b) + var(p_a - s p_b) across ``label``, each from :func:`exact.variance`."""
+    side_a, side_b = exact.FOUR_MODE_CUTS[label]
+    values = []
+    for a, b, sign in itertools.product(side_a, side_b, (+1.0, -1.0)):
+        cx, cp = [0.0] * 8, [0.0] * 8
+        cx[2 * a], cx[2 * b], cp[2 * a + 1], cp[2 * b + 1] = 1.0, sign, 1.0, -sign
+        values.append(exact.variance(spec, cx) + exact.variance(spec, cp))
+    return min(values)
+
+
+def test_cut_witness_forms_equal_the_generic_evaluator(rng):
+    # the per-cut forms of cut_report against the 16 variances they replace
+    points = [(0.0, 0.0, 0.0), (20.0, 0.0, 0.0), (20.0, 1e6, 1e6)]
+    points += [(rng.uniform(0, 20), *rng.uniform(0, 1e6, 2)) for _ in range(300)]
+    points += [(rng.uniform(0, 3), *rng.uniform(0, 3, 2)) for _ in range(300)]
+    for r, sigma_x, sigma_p in points:
+        spec = BoundStateSpec(2, r, sigma_x, sigma_p)
+        for label in exact.FOUR_MODE_CUTS:
+            assert _rel(exact.cut_report(spec, label)["duan"], _generic_cut_witness(spec, label)) <= 1e-15
 
 
 def test_exact_nu_min_on_the_noise_free_cuts():
@@ -250,6 +269,21 @@ def _check_protocols(mp, spec, cov):
         assert _rel(fields["witness_diff_p"], form(p_t, 1, -1)) <= 1e-13
         assert _rel(fields["duan_plus"], plus) <= 1e-13
         assert _rel(fields["duan_minus"], minus) <= 1e-13
+
+
+@pytest.mark.parametrize("r", [1e-12, 1e-10, 1e-5, 0.1, 1.0, 20.0])
+def test_duan_threshold_against_mpmath(r):
+    # (1 - e^{-2r}) / 2 in floats cancels at small r: 2.2e-5 off at r = 1e-12
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        reference = -mp.expm1(-2 * mp.mpf(r)) / 2
+    assert _rel(exact.duan_threshold_sigma_sq(r), reference) <= 1e-13
+
+
+def test_duan_threshold_is_plus_zero_without_squeezing():
+    for r in (0.0, -0.0):
+        value = exact.duan_threshold_sigma_sq(r)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_spec_is_an_immutable_value():

@@ -14,7 +14,6 @@ from cvbound.factory import (
     BoundStateSpec,
     equivalent_construction,
     smolin_cv_2n,
-    smolin_cv_covariances,
     smolin_cv_four,
 )
 from cvbound.separability import named_bipartition, ppt_min_symplectic
@@ -206,8 +205,8 @@ def test_2n_bit_identical_to_state_operations(n_pairs, rng):
 @pytest.mark.parametrize("n_pairs", [2, 3, 5, 32])
 @pytest.mark.parametrize(
     "r, sigma_x, sigma_p",
-    [(0.0, 1.3, 0.7), (-0.0, 1.3, 0.0), (1.1, 0.0, 0.0), (0.0, 0.0, -0.0)],
-    ids=["r0", "r-0-sigma_p0", "sigma0", "r0-sigma0"],
+    [(0.0, 1.3, 0.7), (-0.0, 1.3, 0.0), (1.1, 0.0, 0.0), (0.0, 0.0, -0.0), (-0.0, -0.0, 0.0)],
+    ids=["r0", "r-0-sigma_p0", "sigma0", "r0-sigma0", "r-0-sigma-0"],
 )
 def test_2n_signed_zeros_match_state_operations(n_pairs, r, sigma_x, sigma_p):
     # at r = 0 the x-x pair entries start as -0.0 (at r = -0.0 the p-p ones
@@ -216,30 +215,6 @@ def test_2n_signed_zeros_match_state_operations(n_pairs, r, sigma_x, sigma_p):
     # same signs
     spec = BoundStateSpec(n_pairs, r, sigma_x, sigma_p)
     assert bit_equal(smolin_cv_2n(spec).cov, dense_chain_cov(spec))
-
-
-def test_stacked_builder_with_zeros_matches_per_point_builder():
-    r = np.concatenate([[0.0, -0.0], np.linspace(0.1, 3.0, 10)])[:, None]
-    sigma = np.concatenate([[0.0, -0.0], np.linspace(0.25, 5.0, 18)])
-    covs = smolin_cv_covariances(2, r, sigma, sigma[::-1])
-    assert covs.shape == (12, 20, 8, 8)
-    for i in range(12):
-        for j in range(20):
-            spec = BoundStateSpec(2, float(r[i, 0]), float(sigma[j]), float(sigma[::-1][j]))
-            assert bit_equal(covs[i, j], smolin_cv_2n(spec).cov)
-
-
-@pytest.mark.parametrize("n_pairs", [2, 3])
-def test_covariance_builder_broadcasts_bit_identically(n_pairs, rng):
-    r = rng.uniform(0, 5, size=(4, 1))
-    sigma_x = rng.uniform(0, 5, size=(1, 6))
-    sigma_p = rng.uniform(0, 5, size=6)
-    covs = smolin_cv_covariances(n_pairs, r, sigma_x, sigma_p)
-    assert covs.shape == (4, 6, 4 * n_pairs, 4 * n_pairs)
-    for i in range(4):
-        for j in range(6):
-            spec = BoundStateSpec(n_pairs, float(r[i, 0]), float(sigma_x[0, j]), float(sigma_p[j]))
-            assert np.array_equal(covs[i, j], smolin_cv_2n(spec).cov)
 
 
 def test_chain_patterns_orthogonal_to_nullifiers():

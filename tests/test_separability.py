@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from cvbound import separability
+from cvbound.exact import construction_separable
 from cvbound.factory import BoundStateSpec, smolin_cv_four
 from cvbound.separability import (
     Bipartition,
     SeparabilityVerdict,
-    construction_verdict,
-    cut_diagnostics,
     duan_threshold_sigma_sq,
     duan_value,
     duan_verdict,
@@ -251,26 +250,6 @@ def test_log_negativity_refuses_a_spectrum_rounded_to_zero():
             bp = named_bipartition(label)
             with pytest.raises(ValueError, match="rounded to 0"):
                 log_negativity(state, bp)
-            with pytest.raises(ValueError, match="rounded to 0"):
-                cut_diagnostics(state.cov[None], bp)
-
-
-def test_cut_diagnostics_equal_scalar_api(rng):
-    specs = [BoundStateSpec(2, rng.uniform(0, 3), s, s) for s in rng.uniform(0, 5, 25)]
-    stack = np.array([smolin_cv_four(spec).cov for spec in specs])
-    for label in ("12-34", "14-23", "13-24"):
-        bp = named_bipartition(label)
-        nu_mins, verdicts, log_negs, duans = cut_diagnostics(stack, bp)
-        assert isinstance(nu_mins, np.ndarray) and all(type(v) is str for v in verdicts)
-        for spec, nu_min, verdict, log_neg, duan in zip(specs, nu_mins, verdicts, log_negs, duans):
-            state = smolin_cv_four(spec)
-            expected = ppt_verdict(state, bp)
-            assert (nu_min, verdict) == (expected.witness_value, expected.verdict)
-            assert log_neg == log_negativity(state, bp)
-            pairs = [(a, b, sign) for a in bp.side_a for b in bp.side_b for sign in (+1, -1)]
-            assert duan == min(duan_value(state, *pair) for pair in pairs)
-    with pytest.raises(ValueError):
-        cut_diagnostics(stack[0], bp)
 
 
 def test_ppt_transition_consistency():
@@ -304,16 +283,18 @@ def test_verdict_discipline():
 
     with pytest.raises(ValueError):
         SeparabilityVerdict("guess", "entangled", 0.0, 0.0)
+    with pytest.raises(ValueError):  # construction verdicts are exact.construction_separable's bools
+        SeparabilityVerdict("construction", "separable", 0.0, 0.0)
     with pytest.raises(ValueError):
         SeparabilityVerdict("ppt", "maybe", 0.0, 0.0)
 
 
 def test_construction_verdicts():
-    spec = BoundStateSpec(2, 1.0, 1.0, 1.0)
-    assert construction_verdict(spec, "12-34").verdict == "separable"
-    assert construction_verdict(spec, "14-23").verdict == "separable"
-    assert construction_verdict(spec, "13-24").verdict == "entangled"
-    tight = BoundStateSpec(2, 1.0, 0.5, 0.5)  # below the sinh(2r)/4 floor
-    assert construction_verdict(tight, "14-23").verdict == "inconclusive"
-    classical = BoundStateSpec(2, 0.0, 1.0, 1.0)
-    assert construction_verdict(classical, "13-24").verdict == "separable"
+    # min(sigma_x, sigma_p)**2 = 1 at r = 1
+    assert construction_separable("12-34", 1.0, 1.0)
+    assert construction_separable("14-23", 1.0, 1.0)
+    assert not construction_separable("13-24", 1.0, 1.0)
+    assert not construction_separable("14-23", 1.0, 0.25)  # below the sinh(2r)/4 floor
+    assert construction_separable("13-24", 0.0, 1.0)  # no squeezing: a classical mixture
+    with pytest.raises(ValueError, match="unknown bipartition label"):
+        construction_separable("12-43", 1.0, 1.0)
