@@ -28,8 +28,8 @@ from . import exact, factory, protocols, separability, stabilizer, states
 FMT = "{:.12g}"
 
 # the most points one sweep grid, or one axis of it, may hold: on a 2-core
-# host a sweep at the cap took about 2 s and 150 MB peak RSS as CSV, and
-# 6 s and 720 MB as JSON
+# host a sweep at the cap took 2.2-2.3 s and 88 MB peak RSS as CSV, and
+# 4.5-7 s and 33 MB as JSON, which is written row by row
 _MAX_GRID_POINTS = 2**18
 
 
@@ -101,12 +101,14 @@ def _spec_from_args(args) -> exact.BoundStateSpec:
     return exact.BoundStateSpec.from_dict(base)
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text, out_path: str | None) -> None:
+    """Write ``text``, a string or an iterable of strings written in turn."""
+    chunks = [text] if isinstance(text, str) else text
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _round12(obj):
@@ -243,6 +245,9 @@ SWEEP_COLUMNS = ["r", "sigma", "bipartition", "nu_min", "log_neg", "duan", "verd
 # one CSV row: the bytes csv.writer writes for these cells, none of which
 # needs quoting
 _SWEEP_ROW = "{:.12g},{:.12g},{},{:.12g},{:.12g},{:.12g},{},{:.12g}\r\n"
+# one JSON row as _json_dump indents it in the list of rows, to be filled with
+# the texts json.dumps gives the rounded cells (none of which holds ", ")
+_SWEEP_JSON_ROW = "  {{\n" + ",\n".join(f'    "{c}": {{}}' for c in SWEEP_COLUMNS) + "\n  }}"
 
 
 def cmd_sweep(args) -> int:
@@ -259,16 +264,19 @@ def cmd_sweep(args) -> int:
     # every spec first, in grid order, so that a bad grid is refused with the
     # message of its first bad point before anything else runs
     specs = [exact.BoundStateSpec(2, r, sigma, sigma) for r in r_values for sigma in sigma_values]
-    rows = []
-    for spec in specs:
-        row = _sweep_row(spec, label)
-        verdict = SWEEP_VERDICTS[row["verdict"]]
-        threshold = exact.duan_threshold_sigma_sq(spec.r)
-        rows.append((spec.r, spec.sigma_x, label, row["nu_min"], row["log_neg"], row["duan"], verdict, threshold))
+
+    def rows():  # one at a time, so that JSON is written as it is computed
+        for spec in specs:
+            row = _sweep_row(spec, label)
+            verdict = SWEEP_VERDICTS[row["verdict"]]
+            threshold = exact.duan_threshold_sigma_sq(spec.r)
+            yield spec.r, spec.sigma_x, label, row["nu_min"], row["log_neg"], row["duan"], verdict, threshold
+
     if args.format == "json":
-        _emit(_json_dump([dict(zip(SWEEP_COLUMNS, row)) for row in rows]), args.out)
+        texts = (_SWEEP_JSON_ROW.format(*json.dumps(_round12(row))[1:-1].split(", ")) for row in rows())
+        _emit(itertools.chain(["[\n", next(texts)], (",\n" + text for text in texts), ["\n]\n"]), args.out)
     else:
-        _emit(",".join(SWEEP_COLUMNS) + "\r\n" + "".join(itertools.starmap(_SWEEP_ROW.format, rows)), args.out)
+        _emit(",".join(SWEEP_COLUMNS) + "\r\n" + "".join(itertools.starmap(_SWEEP_ROW.format, rows())), args.out)
     return 0
 
 

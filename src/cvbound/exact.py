@@ -232,15 +232,15 @@ def construction_separable(label: str, r: float, min_sigma_sq: float) -> bool:
 
     ``min_sigma_sq`` is min(sigma_x, sigma_p)**2.  12-34 is always a mixture
     of pair products, 14-23 is one when min_sigma_sq reaches sinh(2r)/4, and
-    13-24 only when its noise-free pair is not entangled: e^{-2r}/2 not below
-    1/2 within ``VERDICT_TOL``, at r = 0.
+    13-24 only when its noise-free pair is not entangled, at r = 0 (or -0.0):
+    for every r > 0 the pair's nu = e^{-2r}/2 is below 1/2, however little.
     """
     if label == "12-34":
         return True
     if label == "14-23":
         return min_sigma_sq >= math.sinh(2 * r) / 4.0
     if label == "13-24":
-        return not math.exp(-2 * r) / 2.0 < 0.5 - VERDICT_TOL
+        return r == 0
     raise ValueError(f"unknown bipartition label {label!r}")
 
 

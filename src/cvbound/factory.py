@@ -157,11 +157,20 @@ def smolin_cv_2n(spec: BoundStateSpec) -> GaussianState:
     EPR blocks first, then sigma^2 p p^T per chain pattern, each on its 4 x 4
     support only with the dense term's bits (:func:`_add_noise`): the order
     of the floating-point additions fixes every bit of the covariance.
+    Raises ``ValueError`` where a middle pair's 2 sigma^2 overflows.
     """
     pairs = tuple((2 * k, 2 * k + 1) for k in range(spec.n_pairs))
     squares = [_square(spec.sigma_x), _square(spec.sigma_p)] * (spec.n_pairs - 1)
-    cov = _add_noise(_epr_pairs_cov(spec.r, pairs, spec.n_modes), _chain_supports(pairs, spec.n_modes), squares)
-    return GaussianState(np.zeros(2 * spec.n_modes), cov)
+    with np.errstate(over="ignore"):  # refused below, with the parameters that overflow
+        cov = _add_noise(_epr_pairs_cov(spec.r, pairs, spec.n_modes), _chain_supports(pairs, spec.n_modes), squares)
+    if not np.isfinite(cov).all():
+        # two chain links cover each middle pair, which gains 2 sigma^2: it
+        # overflows from sigma about 9.48e153
+        raise ValueError(
+            f"the {spec.n_pairs}-pair chain adds 2 sigma^2 on its middle pairs, which overflows a float "
+            f"at sigma_x = {spec.sigma_x:.12g}, sigma_p = {spec.sigma_p:.12g}"
+        )
+    return GaussianState._built(np.zeros(2 * spec.n_modes), cov)
 
 
 def _matched_regrouping(spec: BoundStateSpec) -> tuple[ConstructionVariant, GaussianState | None]:
@@ -193,7 +202,7 @@ def _matched_regrouping(spec: BoundStateSpec) -> tuple[ConstructionVariant, Gaus
         residual_sigma_p=float(np.sqrt(res_p_sq)),
         note="squeezed pairs on (0,3) and (1,2) plus classically correlated displacements",
     )
-    return variant, GaussianState(np.zeros(8), cov)
+    return variant, GaussianState._built(np.zeros(8), cov)
 
 
 def _factorized_regrouping(spec: BoundStateSpec) -> tuple[ConstructionVariant, GaussianState]:
@@ -226,7 +235,7 @@ def _factorized_regrouping(spec: BoundStateSpec) -> tuple[ConstructionVariant, G
             "which keeps the state entangled across this grouping for every sigma"
         ),
     )
-    return variant, GaussianState(np.zeros(8), unmix @ slots @ unmix.T)
+    return variant, GaussianState._built(np.zeros(8), unmix @ slots @ unmix.T)
 
 
 def equivalent_construction(

@@ -10,9 +10,12 @@ combinations and G the gains.  This is not plain Gaussian conditioning, whose
 covariance is the outcome-independent Schur complement of the measured
 quadrature block: ``M cov M^T`` equals that Schur-conditioned covariance plus
 the positive residue of the gain mismatch, hence every conditioned state is
-physical.  Unit gain is what makes the corrected survivor combinations equal
-the global nullifiers exactly, which is why the protocol witnesses come out at
-2 exp(-2r) per copy independent of the classical noise.
+physical.  So :func:`measure_with_feedforward` checks that the measured
+combinations commute and lie on the destroyed modes, and then builds its
+output with no Williamson check of its own.  Unit gain is what makes the
+corrected survivor combinations equal the global nullifiers exactly, which is
+why the protocol witnesses come out at 2 exp(-2r) per copy independent of the
+classical noise.
 
 :func:`unlock` and :func:`superactivate` take their witnesses from the closed
 forms of ``exact.unlock_report`` and ``exact.superactivation_report``, which
@@ -122,7 +125,7 @@ def measure_with_feedforward(
         if quad not in ("x", "p"):
             raise ValueError("quad must be 'x' or 'p'")
         M[row_of[(mode, 0 if quad == "x" else 1)]] += gain * combos[combo_index]
-    return GaussianState(M @ state.mean, M @ state.cov @ M.T)
+    return GaussianState._built(M @ state.mean, M @ state.cov @ M.T)
 
 
 def _joint_readout(n_modes: int, pairs, target: int) -> tuple[list[np.ndarray], list[tuple]]:

@@ -141,8 +141,10 @@ def ppt_threshold_search(r: float, bp: Bipartition, tol: float = 1e-6) -> float 
     Finds the sign change of nu_min(sigma) - 1/2 for the four-mode state with
     sigma_x = sigma_p = sigma on [0, 10] by :func:`_bracketed_root`, a
     safeguarded Illinois search, and returns the midpoint of a final bracket at
-    most ``tol`` wide.  Each gap evaluation builds and validates the state in
-    full.  On the 14-23 cut, for r in [0.005, 3.34] at tol 1e-6 or 1e-8, it
+    most ``tol`` wide.  Each gap evaluation builds the state, which is
+    physical by construction and runs no Williamson check of its own, and
+    takes one partial-transpose spectrum.  On the 14-23 cut, for r in
+    [0.005, 3.34] at tol 1e-6 or 1e-8, it
     takes the two end points plus a median of 5 (at most 13) interior
     evaluations, where a bisection takes 24 or 30.  Returns None when there
     is no strict sign change (the cut is NPT throughout, or never NPT to

@@ -13,6 +13,13 @@ Conventions used throughout the package:
 
 States are immutable after construction and all operations are pure
 functions, so states can be shared freely across threads.
+
+Physicality is checked at the boundary.  Moments that come from outside the
+program, through ``GaussianState(mean, cov)`` or :func:`state_from_dict`, pass
+the Williamson check of :func:`require_physical`.  The states the library
+builds itself are physical by construction and skip it (see
+``GaussianState._built``): the check costs more than the build, and in
+float64 it refuses physical states from about r = 8.
 """
 
 from __future__ import annotations
@@ -203,24 +210,55 @@ class GaussianState:
     """An n-mode Gaussian state given by its mean vector and covariance matrix.
 
     ``mean`` has length 2n and ``cov`` is a symmetric 2n x 2n matrix in the
-    interleaved quadrature ordering.  Construction validates symmetry and
-    physicality (every symplectic eigenvalue >= 1/2 up to tolerance).
+    interleaved quadrature ordering.  ``GaussianState(mean, cov)`` validates
+    symmetry and physicality (every symplectic eigenvalue >= 1/2 up to
+    tolerance); the library's own builders construct through :meth:`_built`,
+    which checks shapes and finiteness only.
     """
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = _readonly(self.mean)
-        cov = _readonly(self.cov)
+        self._set_moments(self.mean, self.cov)
+        require_physical(self.cov)
+
+    def _set_moments(self, mean, cov) -> None:
+        mean = _readonly(mean)
+        cov = _readonly(cov)
         if mean.ndim != 1 or cov.ndim != 2:
             raise ValueError("mean must be a vector and cov a matrix")
         d = mean.shape[0]
         if d == 0 or d % 2 or cov.shape != (d, d):
             raise ValueError(f"inconsistent moment dimensions: mean {mean.shape}, cov {cov.shape}")
-        require_physical(cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+
+    @classmethod
+    def _built(cls, mean, cov) -> GaussianState:
+        """A state the library built, checked for shapes and finite entries but not physicality.
+
+        ``V + i Omega / 2 >= 0`` holds for the vacuum and the squeezed pair
+        and survives added noise ``Y >= 0``, symplectic maps, direct sums and
+        measure-and-displace channels (R. Simon, N. Mukunda and B. Dutta,
+        PRA 49, 1567 (1994); C. Weedbrook et al., RMP 84, 621 (2012)).  So
+        each caller's output is physical by construction:
+
+        * :func:`vacuum_state` and :func:`epr_pair`: pure states;
+        * :func:`tensor`: a direct sum of physical states;
+        * ``factory.smolin_cv_2n``: pure pairs plus positive semidefinite
+          chain noise;
+        * both regroupings of ``factory.equivalent_construction``: pairs plus
+          positive semidefinite noise, then an orthogonal symplectic map;
+        * ``protocols.measure_with_feedforward``: a measure-and-displace
+          channel on a physical state, with its combinations checked to
+          commute.
+        """
+        state = object.__new__(cls)
+        state._set_moments(mean, cov)
+        if not np.isfinite(state.cov).all():
+            raise ValueError("covariance matrix has non-finite entries")
+        return state
 
     @property
     def n_modes(self) -> int:
@@ -231,7 +269,7 @@ def vacuum_state(n: int) -> GaussianState:
     """The n-mode vacuum: zero mean, cov = I/2."""
     if n < 1:
         raise ValueError("need at least one mode")
-    return GaussianState(np.zeros(2 * n), VACUUM_VAR * np.eye(2 * n))
+    return GaussianState._built(np.zeros(2 * n), VACUUM_VAR * np.eye(2 * n))
 
 
 def epr_pair(r: float) -> GaussianState:
@@ -250,7 +288,7 @@ def epr_pair(r: float) -> GaussianState:
     cov = np.diag([c, c, c, c]).astype(float)
     cov[0, 2] = cov[2, 0] = -s
     cov[1, 3] = cov[3, 1] = +s
-    return GaussianState(np.zeros(4), cov)
+    return GaussianState._built(np.zeros(4), cov)
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
@@ -259,7 +297,7 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     cov = np.zeros((da + db, da + db))
     cov[:da, :da] = a.cov
     cov[da:, da:] = b.cov
-    return GaussianState(np.concatenate([a.mean, b.mean]), cov)
+    return GaussianState._built(np.concatenate([a.mean, b.mean]), cov)
 
 
 def beamsplitter(i: int, j: int, theta: float, n: int) -> np.ndarray:
@@ -323,10 +361,12 @@ def sample_oracle(state: GaussianState, count: int, seed: int) -> tuple[np.ndarr
 
     Draws ``count`` samples from the multivariate normal with the state's
     moments and returns (empirical mean, empirical covariance with ddof=1).
-    The state's covariance passed the physicality check at construction, so
-    it is positive definite up to round-off.  Sampling is chunked with a
-    fixed chunk size, so a fixed seed gives bit-identical output across
-    runs; empirical moments converge to the analytic ones at O(1/sqrt(count)).
+    The state's covariance is physical, checked at the boundary or by
+    construction (``GaussianState._built``), so it is positive semidefinite
+    up to round-off, which the factor clips to zero.  Sampling is chunked
+    with a fixed chunk size, so a fixed seed gives bit-identical output
+    across runs; empirical moments converge to the analytic ones at
+    O(1/sqrt(count)).
     """
     if count < 2:
         raise ValueError("need at least two samples")

@@ -185,6 +185,18 @@ def test_non_finite_state_file_exits_2(tmp_path, capsys, where, command, prefix)
     assert out == ""
 
 
+@pytest.mark.parametrize("r", ["1e-12", "1e-10"])
+def test_13_24_is_not_separable_by_construction_at_tiny_squeezing(capsys, r):
+    # the cut keeps a noise-free squeezed pair, entangled at every r > 0; its
+    # nu_min is within VERDICT_TOL of 1/2 here, so PPT decides nothing
+    code, out, err = run(capsys, "sep-check", "--r", r, "--sigma", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[3].endswith("  PPT (separability not certified)")
+    code, out, err = run(capsys, "sweep", "--grid-r", r, "--grid-sigma", "0:3:0.5", "--bipartition", "13-24")
+    assert (code, err) == (0, "")
+    assert [line.split(",")[6] for line in out.splitlines()[1:]] == ["inconclusive"] * 7
+
+
 def test_sep_check_from_state_file(tmp_path, capsys):
     path = tmp_path / "state.json"
     run(capsys, "build", "--r", "1", "--sigma", "1", "--out", str(path))
@@ -498,10 +510,16 @@ _EDGE_SIGMA = [0.0, -0.0, 0.7, 3.0] + _boundary_sigmas([0.3, 1.0, 2.5])
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("label", ["12-34", "14-23", "13-24"])
-def test_sweep_matches_per_point_output_on_edge_grids(capsys, monkeypatch, label, fmt):
+def test_sweep_matches_per_point_output_on_edge_grids(tmp_path, capsys, monkeypatch, label, fmt):
     code, out, err = _sweep_axes(capsys, monkeypatch, _EDGE_R, _EDGE_SIGMA, label, fmt)
     assert (code, err) == (0, "")
     assert out == _closed_form_sweep_output(label, _EDGE_R, _EDGE_SIGMA, fmt)
+    # the rows are written one at a time, to a file as to stdout
+    path = tmp_path / f"sweep.{fmt}"
+    args = _sweep_args(_EDGE_R, _EDGE_SIGMA, label, fmt)
+    args.out = str(path)
+    assert cli.cmd_sweep(args) == 0
+    assert path.read_bytes() == out.encode()
 
 
 def _stdout(fn, *args) -> str:

@@ -296,5 +296,9 @@ def test_construction_verdicts():
     assert not construction_separable("13-24", 1.0, 1.0)
     assert not construction_separable("14-23", 1.0, 0.25)  # below the sinh(2r)/4 floor
     assert construction_separable("13-24", 0.0, 1.0)  # no squeezing: a classical mixture
+    assert construction_separable("13-24", -0.0, 1.0)
+    # any squeezing leaves the cut's noise-free pair entangled, however little
+    for r in (1e-12, 1e-10, 5e-324):
+        assert not construction_separable("13-24", r, 1.0)
     with pytest.raises(ValueError, match="unknown bipartition label"):
         construction_separable("12-43", 1.0, 1.0)
